@@ -1,11 +1,12 @@
-"""Persistent pipeline perf harness: planning + cache-management throughput.
+"""Pipeline perf harness: planning + cache-management throughput.
 
 Times the full ScratchPipe pipeline (Plan + Hit-Map + hold-mask +
-replacement + hazard monitoring) and records batches/sec into
-``BENCH_pipeline.json`` at the repo root, so successive PRs accumulate a
-throughput trajectory instead of losing their measurements.
+replacement + hazard monitoring) and prints a trajectory entry in the
+``BENCH_pipeline.json`` format.  The tracked file is read-only here (the
+opt-in ``REPRO_STRICT_PERF`` comparison reads its previous entry); to add
+a trajectory point, paste the printed entry into it by hand.
 
-Measured per PR:
+Measured:
 
 * metadata-only throughput at the three historical scales (the
   ``acceptance`` scale — 200 batches / 8 tables / 100k slots — is the
@@ -16,14 +17,15 @@ Measured per PR:
   policies degrade linearly instead;
 * a functional-mode (with-storage) scale exercising the [Collect]/[Insert]
   data movement through the preallocated staging rings;
-* the retained seed path (legacy dict hazard monitor, per-cycle
-  ``np.unique``, full-scan victim selection) at the acceptance scale, and
-  the speedup over both it and the previous PR's recorded entry;
+* the seed path, rebuilt from the ``repro.testing.oracles`` reference
+  implementations (dict hazard monitor, per-cycle ``np.unique``,
+  full-scan victim selection), at the acceptance scale, and the speedup
+  over both it and the previous recorded entry;
 * a ``pipelined`` lane: the acceptance scale run through the
   ``overlapped`` stage executor, recording what the cross-process
   Plan-ahead handoff costs (single-core boxes) or buys (multi-core).
 
-``REPRO_SKIP_PERF_ASSERT=1`` records the trajectory without asserting the
+``REPRO_SKIP_PERF_ASSERT=1`` prints the entry without asserting the
 speedup/flatness thresholds (for shared or overloaded boxes).
 """
 
@@ -42,17 +44,19 @@ from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import ModelConfig
 from repro.systems.scratchpipe_system import make_scratchpads
+from repro.testing.oracles import (
+    PerCycleUniquePipeline,
+    ScanHazardMonitor,
+    use_scan_policies,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_pipeline.json"
 
-#: Entries are keyed by label so re-runs update in place and each PR's
-#: perf pass appends one trajectory point.  PR 10 introduces the pluggable
-#: stage-executor backends and reworks the Hit-Map TLB, the RAW-4
-#: bookkeeping and the victim-selection walk; alongside the serial lanes
-#: it records a ``pipelined`` lane (the ``overlapped`` executor at the
-#: acceptance scale) so the cross-process backend's overhead/benefit is
-#: part of the trajectory.
+#: Label of the printed entry.  Alongside the serial lanes it carries a
+#: ``pipelined`` lane (the ``overlapped`` executor at the acceptance
+#: scale) so the cross-process backend's overhead/benefit is part of the
+#: trajectory.
 RUN_LABEL = "pr10-overlapped-pipeline"
 PREVIOUS_LABEL = "pr8-live-serve"
 
@@ -149,17 +153,17 @@ def _time_fast_path(
 
 
 def _time_seed_path(scale: dict) -> float:
-    """Seconds for the seed-equivalent run: legacy dict monitor, per-cycle
-    ``np.unique`` and full-scan victim selection (the paths PRs 1-2
-    replaced, all retained behind their ``legacy`` switches)."""
+    """Seconds for the seed-equivalent run: dict monitor, per-cycle
+    ``np.unique`` and full-scan victim selection (the paths the fast ones
+    replaced, kept as the ``repro.testing.oracles`` reference
+    implementations)."""
     cfg = _config(scale)
     trace = _trace(cfg, scale)
-    pipeline = ScratchPipePipeline(
+    pipeline = PerCycleUniquePipeline(
         config=cfg,
-        scratchpads=make_scratchpads(cfg, scale["slots"], legacy_select=True),
+        scratchpads=use_scan_policies(make_scratchpads(cfg, scale["slots"])),
         dataset_batches=trace,
-        monitor=HazardMonitor(strict=True, legacy=True),
-        unique_cache=False,
+        monitor=ScanHazardMonitor(strict=True),
     )
     start = time.perf_counter()
     result = pipeline.run()
@@ -206,23 +210,7 @@ def _previous_acceptance_bps(data: dict) -> float:
 def _load() -> dict:
     if BENCH_PATH.exists():
         return json.loads(BENCH_PATH.read_text())
-    return {
-        "benchmark": "metadata_pipeline_throughput",
-        "unit": "batches_per_sec",
-        "scales": {},
-        "runs": [],
-    }
-
-
-def _record(data: dict, entry: dict) -> None:
-    data["scales"] = {
-        name: dict(scale) for name, scale in SCALES.items()
-    }
-    data["scales"]["functional"] = dict(FUNCTIONAL_SCALE)
-    runs = [r for r in data["runs"] if r.get("label") != entry["label"]]
-    runs.append(entry)
-    data["runs"] = runs
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
+    return {"runs": []}
 
 
 def test_perf_pipeline_throughput_and_speedup():
@@ -290,7 +278,7 @@ def test_perf_pipeline_throughput_and_speedup():
         new_bps / previous_bps if previous_bps else float("nan")
     )
 
-    _record(data, {
+    entry = {
         "label": RUN_LABEL,
         "throughput": throughput,
         "seed_path_acceptance": {
@@ -305,9 +293,11 @@ def test_perf_pipeline_throughput_and_speedup():
         "select_flatness_1m_over_100k": round(flatness, 3),
         "python": platform.python_version(),
         "numpy": np.__version__,
-    })
+    }
 
-    print(f"\npipeline throughput: {throughput}")
+    print(f"\n{RUN_LABEL} entry (not written; see module docs):")
+    print(json.dumps(entry, indent=2))
+    print(f"pipeline throughput: {throughput}")
     print(f"seed-path acceptance run: {seed_seconds:.2f}s; "
           f"speedup {speedup:.1f}x (required >= {MIN_ACCEPTANCE_SPEEDUP}x)")
     print(f"speedup vs {PREVIOUS_LABEL} entry: {speedup_vs_previous:.2f}x "

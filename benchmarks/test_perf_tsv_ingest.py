@@ -1,14 +1,16 @@
 """TSV ingest throughput: vectorised bulk hashing vs the per-token loop.
 
-Parses the deterministic Criteo-style sample fixture through both
-``TsvTraceSource`` engines and records lines/sec and tokens/sec into
-``BENCH_pipeline.json`` (entry ``pr5-tsv-ingest``), alongside the
-compiled-format replay rate.  The acceptance gate is a >=20x speedup of
-the numpy engine over the per-token reference loop — the factor that
-makes paper-scale Criteo ingestion usable (the reference loop needs
+Parses the deterministic Criteo-style sample fixture through
+``TsvTraceSource`` and through the per-token reference loop
+(``repro.testing.oracles.PerTokenTsvTraceSource``) and prints lines/sec
+and tokens/sec as a ``BENCH_pipeline.json``-format entry
+(``pr5-tsv-ingest``), alongside the compiled-format replay rate; the
+tracked file itself is never rewritten.  The acceptance gate is a >=20x
+speedup of the vectorised parser over the per-token loop — the factor
+that makes paper-scale Criteo ingestion usable (the reference loop needs
 hours for a day of the Kaggle set; the bulk hasher, minutes).
 
-``REPRO_SKIP_PERF_ASSERT=1`` records without asserting (noisy boxes).
+``REPRO_SKIP_PERF_ASSERT=1`` prints without asserting (noisy boxes).
 """
 
 import json
@@ -26,9 +28,7 @@ from repro.data.io import CompiledTraceSource, compile_trace
 from repro.data.trace import mix64_scalar
 from repro.data.tsv import TsvTraceSource
 from repro.model.config import ModelConfig
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_pipeline.json"
+from repro.testing.oracles import PerTokenTsvTraceSource
 
 RUN_LABEL = "pr5-tsv-ingest"
 
@@ -41,13 +41,13 @@ def _config() -> ModelConfig:
     return ModelConfig().scaled(**SAMPLE_GEOMETRY)
 
 
-def _time_engine(engine: str, repeats: int = 1) -> tuple:
+def _time_parser(source_cls, repeats: int = 1) -> tuple:
     """(seconds, lines, tokens) for full forward parses of the fixture."""
     config = _config()
     best = float("inf")
     source = None
     for _ in range(repeats):
-        source = TsvTraceSource(SAMPLE_FIXTURE_PATH, config, engine=engine)
+        source = source_cls(SAMPLE_FIXTURE_PATH, config)
         start = time.perf_counter()
         batches = 0
         for chunk in source.iter_chunks():
@@ -66,7 +66,8 @@ def _time_legacy_crc32_loop() -> float:
     ``crc32(f"{table}\\x1f{token}") -> mix64 -> % rows`` in Python.  The
     hash function changed with the vectorised engine, so this replica is
     a *throughput* baseline (the recorded ``speedup_vs_legacy``), not a
-    bit-equivalence oracle — that role belongs to ``engine="python"``.
+    bit-equivalence oracle — that role belongs to
+    ``PerTokenTsvTraceSource``.
     """
     config = _config()
     columns = config.num_tables * config.lookups_per_table
@@ -98,30 +99,11 @@ def _time_compiled_replay(tmp_dir: Path) -> tuple:
     return time.perf_counter() - start, batches
 
 
-def _load() -> dict:
-    if BENCH_PATH.exists():
-        return json.loads(BENCH_PATH.read_text())
-    return {
-        "benchmark": "metadata_pipeline_throughput",
-        "unit": "batches_per_sec",
-        "scales": {},
-        "runs": [],
-    }
-
-
-def _record(entry: dict) -> None:
-    data = _load()
-    runs = [r for r in data.get("runs", []) if r.get("label") != entry["label"]]
-    runs.append(entry)
-    data["runs"] = runs
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def test_perf_tsv_ingest_speedup(tmp_path):
     # Best-of-2 on the fast side so another process stealing the box for
     # one pass cannot flip the assertion.
-    vector_seconds, lines, tokens = _time_engine("numpy", repeats=3)
-    scalar_seconds, _, _ = _time_engine("python")
+    vector_seconds, lines, tokens = _time_parser(TsvTraceSource, repeats=3)
+    scalar_seconds, _, _ = _time_parser(PerTokenTsvTraceSource)
     legacy_seconds = _time_legacy_crc32_loop()
     speedup = scalar_seconds / vector_seconds
     speedup_vs_legacy = legacy_seconds / vector_seconds
@@ -150,9 +132,9 @@ def test_perf_tsv_ingest_speedup(tmp_path):
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    _record(entry)
-
-    print(f"\nTSV parse: scalar {lines / scalar_seconds:.0f} lines/s, "
+    print(f"\n{RUN_LABEL} entry (not written; see module docs):")
+    print(json.dumps(entry, indent=2))
+    print(f"TSV parse: scalar {lines / scalar_seconds:.0f} lines/s, "
           f"legacy crc32 {lines / legacy_seconds:.0f} lines/s, "
           f"vector {lines / vector_seconds:.0f} lines/s "
           f"({tokens / vector_seconds:.0f} tokens/s) -> {speedup:.1f}x "

@@ -22,7 +22,6 @@ from typing import Optional
 
 __all__ = [
     "read_env",
-    "read_env_flag",
     "write_env",
     "remove_env",
 ]
@@ -31,14 +30,6 @@ __all__ = [
 def read_env(name: str, default: Optional[str] = None) -> Optional[str]:
     """Read one environment variable (the ``os.environ.get`` seam)."""
     return os.environ.get(name, default)
-
-
-def read_env_flag(name: str, default: bool = False) -> bool:
-    """Read a 0/1 boolean knob; empty or unset falls back to ``default``."""
-    raw = os.environ.get(name, "")
-    if raw == "":
-        return default
-    return bool(int(raw))
 
 
 def write_env(name: str, value: str) -> None:

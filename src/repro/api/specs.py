@@ -9,10 +9,10 @@ from.  This module gives *systems* the same treatment.  A
   count, replacement policy, and optional **per-table overrides** (the
   heterogeneous-cache path: "table 0 gets 4 % LRU, the rest get 0.5 %
   random");
-* a :class:`ScratchpadSpec` — hold-mask past window, storage
-  materialisation, legacy-select oracle flag;
-* a :class:`PipelineSpec` — future-window lookahead depth and the
-  unique-ID cache switch;
+* a :class:`ScratchpadSpec` — hold-mask past window and storage
+  materialisation;
+* a :class:`PipelineSpec` — future-window lookahead depth and the stage
+  executor;
 
 plus the registered system name and a GPU count.  Every field is validated
 eagerly in ``__post_init__`` with a named :class:`InvalidSystemSpecError`
@@ -299,14 +299,10 @@ class ScratchpadSpec:
             and always runs 0, ignoring this field.
         with_storage: Materialise a real Storage array (functional mode)
             instead of metadata-only index structures.
-        legacy_select: Route victim selection through the full-scan oracle
-            policies; ``None`` defers to the ``REPRO_LEGACY_SELECT``
-            environment hook.
     """
 
     past_window: int = 3
     with_storage: bool = False
-    legacy_select: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.past_window, bool) or not isinstance(
@@ -319,24 +315,16 @@ class ScratchpadSpec:
             raise InvalidSystemSpecError(
                 f"with_storage must be a bool, got {self.with_storage!r}"
             )
-        if self.legacy_select is not None and not isinstance(
-            self.legacy_select, bool
-        ):
-            raise InvalidSystemSpecError(
-                "legacy_select must be True, False or None, got "
-                f"{self.legacy_select!r}"
-            )
 
     def to_dict(self) -> dict:
         return {
             "past_window": self.past_window,
             "with_storage": self.with_storage,
-            "legacy_select": self.legacy_select,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScratchpadSpec":
-        unknown = set(data) - {"past_window", "with_storage", "legacy_select"}
+        unknown = set(data) - {"past_window", "with_storage"}
         if unknown:
             raise InvalidSystemSpecError(
                 f"unknown scratchpad spec fields: {sorted(unknown)}"
@@ -344,7 +332,6 @@ class ScratchpadSpec:
         return cls(
             past_window=data.get("past_window", 3),
             with_storage=data.get("with_storage", False),
-            legacy_select=data.get("legacy_select"),
         )
 
 
@@ -355,9 +342,6 @@ class PipelineSpec:
     Attributes:
         future_window: Upcoming batches [Plan] protects (2 in the paper:
             the [Insert]-to-[Collect] distance).
-        unique_cache: Plan from per-batch cached sorted-unique ID sets
-            (the PR 1 fast path; ``False`` reproduces the seed's per-cycle
-            recomputation for equivalence runs).
         executor: Stage-execution backend, by registered name
             (``repro.core.executor``): ``"serial"`` (default) or
             ``"overlapped"`` (Plan N+future on dedicated worker
@@ -366,7 +350,6 @@ class PipelineSpec:
     """
 
     future_window: int = 2
-    unique_cache: bool = True
     executor: str = "serial"
 
     def __post_init__(self) -> None:
@@ -376,10 +359,6 @@ class PipelineSpec:
             raise InvalidSystemSpecError(
                 f"future_window must be an int >= 0, got "
                 f"{self.future_window!r}"
-            )
-        if not isinstance(self.unique_cache, bool):
-            raise InvalidSystemSpecError(
-                f"unique_cache must be a bool, got {self.unique_cache!r}"
             )
         from repro.core.executor import registered_executors
 
@@ -392,20 +371,18 @@ class PipelineSpec:
     def to_dict(self) -> dict:
         return {
             "future_window": self.future_window,
-            "unique_cache": self.unique_cache,
             "executor": self.executor,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineSpec":
-        unknown = set(data) - {"future_window", "unique_cache", "executor"}
+        unknown = set(data) - {"future_window", "executor"}
         if unknown:
             raise InvalidSystemSpecError(
                 f"unknown pipeline spec fields: {sorted(unknown)}"
             )
         return cls(
             future_window=data.get("future_window", 2),
-            unique_cache=data.get("unique_cache", True),
             executor=data.get("executor", "serial"),
         )
 

@@ -1,25 +1,26 @@
 """Pluggable stage executors for the ScratchPipe pipeline.
 
-The pipeline's cycle loop — which stage of which in-flight batch runs
-when — is an execution *strategy*, separable from the stage
-implementations themselves (``ScratchPipePipeline._do_plan`` and
-friends).  This module turns that strategy into a registry of named
-executors so systems, sweeps, the CLI and the live-replay harness can
-pick one per run:
+There is one cycle loop, ``ScratchPipePipeline._stream_cycles``: which
+stage of which in-flight batch runs at each cycle is fixed by the
+paper's schedule (Section IV-C, Figure 10).  What an executor chooses is
+the loop's *plan source* — where the [Plan] stage of each batch runs.
+This module keeps those strategies in a registry of named executors so
+systems, sweeps, the CLI and the live-replay harness can pick one per
+run:
 
-* ``serial`` (the default everywhere) runs every stage of every cycle in
-  the calling process, in the exact order the seed implementation used.
-  It is the bit-identical oracle the others are tested against.
+* ``serial`` (the default everywhere) plans inline: every stage of every
+  cycle runs in the calling process.
 * ``overlapped`` realises the paper's premise — Plan for batch
   ``N + future`` runs *ahead*, concurrently with Collect/Insert/Train of
   earlier batches — by sharding the per-table Plan work across dedicated
   worker processes (ScratchPipe instantiates one cache-manager per
   table, Section VI-G, so per-table Plan streams are independent by
-  construction).  Plan results travel back by message passing — an
-  ownership handoff of each batch's plan rows, never shared memory, so
-  there is no segment to leak — and the parent retires
-  Collect/Exchange/Insert/Train in the serial cycle order.  Bounded
-  queues are the plan-ahead window: a planner at most
+  construction).  Each worker runs the pipeline's own per-table
+  plan+monitor step.  Results travel back by message passing — full
+  plan rows in functional mode, four counters per table in metadata
+  mode, never shared memory, so there is no segment to leak — and the
+  parent's loop takes them from the receiver as its plan source.
+  Bounded queues are the plan-ahead window: a planner at most
   ``_PLAN_AHEAD_DEPTH`` batches ahead blocks until the parent catches
   up.
 
@@ -41,7 +42,7 @@ import multiprocessing
 import os
 import pickle
 from queue import Empty
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Tuple, Type
 
 from repro._env import read_env
 from repro.errors import (
@@ -115,7 +116,7 @@ def make_executor(name: str) -> Executor:
 
 @register_executor("serial")
 class SerialExecutor:
-    """Every stage in the calling process, in seed cycle order."""
+    """Every stage in the calling process: the loop's inline plan source."""
 
     name = "serial"
 
@@ -225,13 +226,15 @@ def _planner_worker(pipeline, shard_index: int, tables, num_batches: int, queue)
     Runs in a forked child, so ``pipeline`` (scratchpads, monitor, batch
     cache) is a private copy-on-write snapshot of the parent's
     construction-time state — exactly the state a serial run would plan
-    against, since Plan is the only stage that touches it.
+    against, since Plan is the only stage that touches it.  Each table
+    goes through the pipeline's own plan+monitor step at the cycle the
+    serial loop would run it (``index + 1``).
     """
-    from repro.core.pipeline import HazardError
+    from repro.core.pipeline import HazardError, plan_counters
 
     try:
         monitor = pipeline.monitor
-        functional = pipeline._functional
+        encode = _encode_plan if pipeline._functional else plan_counters
         for index in range(num_batches):
             fault_point("pipeline.executor", detail=f"plan:{index}:shard:{shard_index}")
             fault_point("pipeline.stage", detail=f"plan:{index}")
@@ -242,9 +245,9 @@ def _planner_worker(pipeline, shard_index: int, tables, num_batches: int, queue)
             for table in tables:
                 before = len(monitor.violations) if monitor is not None else 0
                 try:
-                    plan = pipeline._plan_table(table, batch, future_batches)
-                    if monitor is not None:
-                        monitor.on_plan(index + 1, table, plan)
+                    plan = pipeline._plan_monitored(
+                        index + 1, table, batch, future_batches
+                    )
                 except HazardError as error:
                     queue.put(("hazard", index, table, str(error)))
                     return
@@ -253,13 +256,7 @@ def _planner_worker(pipeline, shard_index: int, tables, num_batches: int, queue)
                         (table, message)
                         for message in monitor.violations[before:]
                     )
-                if functional:
-                    payload.append(_encode_plan(plan))
-                else:
-                    payload.append(
-                        (plan.num_unique, plan.num_hits,
-                         plan.num_misses, plan.num_writebacks)
-                    )
+                payload.append(encode(plan))
             queue.put(("plan", index, payload, flagged))
             pipeline._evict_batches_before(index + 1)
             if monitor is not None:
@@ -280,7 +277,8 @@ def _planner_worker(pipeline, shard_index: int, tables, num_batches: int, queue)
 class _PlanReceiver:
     """Parent-side demux of the per-shard planner queues."""
 
-    def __init__(self, workers, queues, shards, timeout_s: float) -> None:
+    def __init__(self, pipeline, workers, queues, shards, timeout_s: float) -> None:
+        self._pipeline = pipeline
         self._workers = workers
         self._queues = queues
         self._shards = shards
@@ -363,6 +361,33 @@ class _PlanReceiver:
             return [], [], message
         return payloads, flagged, None
 
+    def plan_into(self, record, cycle: int) -> None:
+        """The overlapped plan source: fill ``record`` from the shards.
+
+        Functional runs decode the shipped plan rows; metadata runs build
+        the batch's statistics straight from the shipped counters.
+        Non-strict violations join the parent's monitor in table order;
+        a strict hazard is re-raised here, where a serial run raises it.
+        """
+        from repro.core.pipeline import BatchCacheStats, HazardError
+        from repro.core.scratchpad import TablePlan
+
+        pipeline = self._pipeline
+        payloads, flagged, hazard = self.receive(record.index)
+        monitor = pipeline.monitor
+        if monitor is not None:
+            monitor.violations.extend(message for _, message in flagged)
+        if hazard is not None:
+            if monitor is not None:
+                monitor.violations.append(hazard)
+            raise HazardError(hazard)
+        if pipeline._functional:
+            record.plans = [TablePlan(*fields) for fields in payloads]
+        else:
+            record.stats = BatchCacheStats.from_counters(
+                record.index, pipeline.config.lookups_per_batch, payloads
+            )
+
     def finish(self) -> List[Tuple[int, object]]:
         """Collect every shard's final ``("done", states)`` message."""
         states: List[Tuple[int, object]] = []
@@ -405,8 +430,6 @@ class OverlappedExecutor:
     name = "overlapped"
 
     def stream(self, pipeline, num_batches, losses):
-        from repro.core.pipeline import STAGES, HazardError, _InFlight
-
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ExecutorUnavailableError(
                 "the overlapped executor needs the 'fork' start method, "
@@ -433,91 +456,14 @@ class OverlappedExecutor:
             )
             for shard_index, (tables, queue) in enumerate(zip(shards, queues))
         ]
-        receiver = _PlanReceiver(workers, queues, shards, timeout_s)
-        monitor = pipeline.monitor
-        functional = pipeline._functional
+        receiver = _PlanReceiver(pipeline, workers, queues, shards, timeout_s)
         try:
             for worker in workers:
                 worker.start()
-            in_flight: Dict[int, _InFlight] = {}
-            stats_by_batch: Dict[int, "BatchCacheStats"] = {}
-            last_cycle = num_batches - 1 + len(STAGES) - 1
-            for cycle in range(last_cycle + 1):
-                retired = None
-                train_idx = cycle - 5
-                if 0 <= train_idx < num_batches:
-                    if functional:
-                        record = in_flight.pop(train_idx)
-                        loss = pipeline._do_train(record)
-                        if loss is not None and losses is not None:
-                            losses.append(loss)
-                        retired = pipeline._stats_for(record)
-                    else:
-                        retired = stats_by_batch.pop(train_idx)
-                insert_idx = cycle - 4
-                if functional and 0 <= insert_idx < num_batches:
-                    pipeline._do_insert(in_flight[insert_idx])
-                collect_idx = cycle - 2
-                if functional and 0 <= collect_idx < num_batches:
-                    pipeline._do_collect(in_flight[collect_idx])
-                plan_idx = cycle - 1
-                if 0 <= plan_idx < num_batches:
-                    payloads, flagged, hazard = receiver.receive(plan_idx)
-                    if monitor is not None:
-                        monitor.violations.extend(
-                            message for _, message in flagged
-                        )
-                    if hazard is not None:
-                        if monitor is not None:
-                            monitor.violations.append(hazard)
-                        raise HazardError(hazard)
-                    if functional:
-                        in_flight[plan_idx].plans.extend(
-                            _decode_plan(fields) for fields in payloads
-                        )
-                    else:
-                        stats_by_batch[plan_idx] = _stats_from_counters(
-                            pipeline, plan_idx, payloads
-                        )
-                if functional:
-                    if cycle < num_batches:
-                        in_flight[cycle] = _InFlight(
-                            batch=pipeline._get_batch(cycle)
-                        )
-                    oldest = min(in_flight) if in_flight else num_batches
-                    pipeline._evict_batches_before(oldest)
-                if monitor is not None:
-                    monitor.on_cycle_end(cycle)
-                if retired is not None:
-                    yield retired
+            yield from pipeline._stream_cycles(
+                num_batches, losses, plan=receiver.plan_into
+            )
             for table, key_of_slot in receiver.finish():
                 pipeline.scratchpads[table].hit_map.adopt_state(key_of_slot)
         finally:
             receiver.shutdown()
-
-
-def _decode_plan(fields: tuple):
-    from repro.core.scratchpad import TablePlan
-
-    return TablePlan(*fields)
-
-
-def _stats_from_counters(
-    pipeline, batch_index: int, counters: Sequence[Tuple[int, int, int, int]]
-):
-    from repro.core.pipeline import BatchCacheStats
-
-    unique = tuple(c[0] for c in counters)
-    hits = tuple(c[1] for c in counters)
-    misses = tuple(c[2] for c in counters)
-    return BatchCacheStats(
-        batch_index=batch_index,
-        total_lookups=pipeline.config.lookups_per_batch,
-        unique_ids=sum(unique),
-        hits=sum(hits),
-        misses=sum(misses),
-        writebacks=sum(c[3] for c in counters),
-        per_table_misses=misses,
-        per_table_hits=hits,
-        per_table_unique=unique,
-    )

@@ -16,7 +16,7 @@ show the monitor *does* catch the hazards the windows exist to prevent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -82,8 +82,8 @@ class BatchCacheStats:
         misses: Unique rows fetched from CPU ([Collect]/[Exchange]/[Insert]).
         writebacks: Dirty victims returned to the CPU table.
         per_table_misses: Miss count per table (for per-table timing).
-        per_table_hits: Hit count per table (empty on legacy constructors;
-            heterogeneous per-table caches are judged table by table).
+        per_table_hits: Hit count per table (heterogeneous per-table
+            caches are judged table by table).
         per_table_unique: Unique-ID count per table (pairs with
             ``per_table_hits`` to give per-table hit rates).
     """
@@ -104,6 +104,44 @@ class BatchCacheStats:
         if self.unique_ids == 0:
             return 1.0
         return self.hits / self.unique_ids
+
+    @classmethod
+    def from_counters(
+        cls,
+        batch_index: int,
+        total_lookups: int,
+        counters: Sequence[Tuple[int, int, int, int]],
+    ) -> "BatchCacheStats":
+        """Stats from per-table :func:`plan_counters` tuples, in table order."""
+        unique = tuple(c[0] for c in counters)
+        hits = tuple(c[1] for c in counters)
+        misses = tuple(c[2] for c in counters)
+        return cls(
+            batch_index=batch_index,
+            total_lookups=total_lookups,
+            unique_ids=sum(unique),
+            hits=sum(hits),
+            misses=sum(misses),
+            writebacks=sum(c[3] for c in counters),
+            per_table_misses=misses,
+            per_table_hits=hits,
+            per_table_unique=unique,
+        )
+
+    @classmethod
+    def from_plans(
+        cls, batch_index: int, total_lookups: int, plans: Sequence[TablePlan]
+    ) -> "BatchCacheStats":
+        """Stats of one batch's per-table plans."""
+        return cls.from_counters(
+            batch_index, total_lookups, [plan_counters(p) for p in plans]
+        )
+
+
+def plan_counters(plan: TablePlan) -> Tuple[int, int, int, int]:
+    """``(unique, hits, misses, writebacks)`` of one table-plan — all a
+    metadata-only run keeps of it."""
+    return (plan.num_unique, plan.num_hits, plan.num_misses, plan.num_writebacks)
 
 
 class HazardError(AssertionError):
@@ -151,14 +189,13 @@ class HazardMonitor:
     scale.  The ring relies on the pipeline's contract that per-table
     ``on_plan`` cycles are non-decreasing (each table is planned once
     per cycle, in cycle order), which lets retired entries be pruned as
-    soon as they fall behind the reading cycle.  ``legacy=True``
-    selects the original per-element dict bookkeeping, retained solely
-    as the oracle for the equivalence tests; all paths flag identical
+    soon as they fall behind the reading cycle.  Per-element dict
+    bookkeeping is the equivalence-test oracle
+    ``repro.testing.oracles.ScanHazardMonitor``; both flag identical
     violations in identical order.
     """
 
     strict: bool = True
-    legacy: bool = False
     violations: List[str] = field(default_factory=list)
     # Vectorised state: table -> int32 pending-write cycle per slot and
     # per row (small row universes), and table -> ring of (insert_cycle,
@@ -169,10 +206,6 @@ class HazardMonitor:
     _recent_writebacks: Dict[int, List[Tuple[int, np.ndarray]]] = field(
         default_factory=dict
     )
-    # Legacy state: (table, slot) -> cycle of the last scheduled write not
-    # yet retired, and (table, row_id) -> cycle the write-back lands.
-    _pending_slot_writes: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    _pending_writebacks: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     def _flag(self, message: str) -> None:
         self.violations.append(message)
@@ -217,9 +250,6 @@ class HazardMonitor:
 
     def on_plan(self, cycle: int, table: int, plan: TablePlan) -> None:
         """Validate and register one table-plan produced at ``cycle``."""
-        if self.legacy:
-            self._on_plan_legacy(cycle, table, plan)
-            return
         collect_cycle = cycle + PLAN_TO_COLLECT
         insert_cycle = cycle + PLAN_TO_INSERT
         train_cycle = cycle + PLAN_TO_TRAIN
@@ -294,8 +324,8 @@ class HazardMonitor:
         # superseded (fill_slots is a subset of slots), and no in-flight
         # batch can have scheduled a later write — the latest write any
         # previous plan registered is its own train cycle, which is
-        # strictly earlier.  A plain scatter therefore matches the legacy
-        # ``max(existing, train_cycle)`` bookkeeping exactly.
+        # strictly earlier.  A plain scatter therefore matches the dict
+        # oracle's ``max(existing, train_cycle)`` bookkeeping exactly.
         if slots.size:
             slot_writes[slots] = train_cycle
         if evicted.size:
@@ -309,64 +339,28 @@ class HazardMonitor:
                         (insert_cycle, np.sort(dirty))
                     )
 
-    def _on_plan_legacy(self, cycle: int, table: int, plan: TablePlan) -> None:
-        """Original dict-based bookkeeping (equivalence-test oracle)."""
-        collect_cycle = cycle + PLAN_TO_COLLECT
-        insert_cycle = cycle + PLAN_TO_INSERT
-        train_cycle = cycle + PLAN_TO_TRAIN
-
-        for slot in plan.fill_slots:
-            pending = self._pending_slot_writes.get((table, int(slot)))
-            if pending is not None and pending >= collect_cycle:
-                self._flag(
-                    f"RAW-2/3: slot {int(slot)} of table {table} chosen as "
-                    f"victim (read at cycle {collect_cycle}) while an "
-                    f"in-flight batch writes it at cycle {pending}"
-                )
-
-        for row in plan.miss_ids:
-            pending = self._pending_writebacks.get((table, int(row)))
-            if pending is not None and pending >= collect_cycle:
-                self._flag(
-                    f"RAW-4: row {int(row)} of table {table} read from the "
-                    f"CPU table at cycle {collect_cycle} while its "
-                    f"write-back lands at cycle {pending}"
-                )
-
-        for slot in plan.fill_slots:
-            self._pending_slot_writes[(table, int(slot))] = insert_cycle
-        for slot in plan.slots:
-            existing = self._pending_slot_writes.get((table, int(slot)), -1)
-            self._pending_slot_writes[(table, int(slot))] = max(
-                existing, train_cycle
-            )
-        for row, evicted in zip(plan.fill_slots, plan.evicted_ids):
-            if int(evicted) != EMPTY:
-                self._pending_writebacks[(table, int(evicted))] = insert_cycle
-
     def on_cycle_end(self, cycle: int) -> None:
         """Retire writes that have now happened.
 
-        The vectorised implementation retires lazily (pending cycles in the
-        past never flag), so this is a no-op there; the legacy oracle prunes
-        its dicts eagerly.
+        A no-op: retirement is lazy (pending cycles in the past never
+        flag).  Monitors that prune eagerly override it.
         """
-        if not self.legacy:
-            return
-        self._pending_slot_writes = {
-            k: v for k, v in self._pending_slot_writes.items() if v > cycle
-        }
-        self._pending_writebacks = {
-            k: v for k, v in self._pending_writebacks.items() if v > cycle
-        }
 
 
 @dataclass
 class _InFlight:
-    """State of one mini-batch travelling down the pipeline."""
+    """State of one mini-batch travelling down the pipeline.
 
-    batch: MiniBatch
+    Carries the batch's trace index, not the batch: a stage that needs
+    the lookups fetches them from the pipeline's batch cache, so a
+    parent that only retires statistics never materialises a batch.
+    A plan source fills either ``plans`` or, when the per-table plans
+    stay with a planner process, the finished ``stats``.
+    """
+
+    index: int
     plans: List[TablePlan] = field(default_factory=list)
+    stats: Optional[BatchCacheStats] = None
     collected_rows: List[np.ndarray] = field(default_factory=list)
     victim_rows: List[np.ndarray] = field(default_factory=list)
 
@@ -457,13 +451,6 @@ class ScratchPipePipeline:
         future_window: How many upcoming batches [Plan] protects (2 in the
             paper: the [Insert]-to-[Collect] distance).
         monitor: Optional hazard monitor.
-        unique_cache: Plan from each batch's cached per-table sorted-unique
-            ID sets (computed once per batch, reused by its own Plan and by
-            the future windows of the two preceding Plans) instead of
-            re-``np.unique``-ing the raw lookup arrays per table per cycle.
-            Produces bit-identical plans; ``False`` reproduces the original
-            per-cycle recomputation and exists for the equivalence tests
-            and the perf harness's before/after comparison.
         executor: Execution strategy, by registered name
             (:mod:`repro.core.executor`): ``"serial"`` runs every stage in
             the calling process; ``"overlapped"`` runs Plan N+future on
@@ -478,7 +465,6 @@ class ScratchPipePipeline:
     trainer: Optional[PipelineTrainer] = None
     future_window: int = 2
     monitor: Optional[HazardMonitor] = None
-    unique_cache: bool = True
     executor: str = "serial"
 
     def __post_init__(self) -> None:
@@ -532,45 +518,51 @@ class ScratchPipePipeline:
     def _plan_table(
         self, table: int, batch: MiniBatch, future_batches: List[MiniBatch]
     ) -> TablePlan:
-        """Plan one table of one batch (the per-table unit of Plan work —
-        also the unit the overlapped executor shards across workers)."""
-        scratchpad = self.scratchpads[table]
+        """Plan one table of one batch.
+
+        Each batch's sorted-unique IDs are computed once (cached on the
+        MiniBatch) and shared between its own Plan and the future windows
+        of the two preceding Plans.  The per-batch sets are handed over
+        as a list — the Plan stage only flags their slots, so neither
+        concatenating nor deduplicating across batches would change
+        anything.
+        """
         future_ids: Optional[object] = None
-        if self.unique_cache:
-            # Each batch's sorted-unique IDs are computed once (cached
-            # on the MiniBatch) and shared between its own Plan and the
-            # future windows of the two preceding Plans.  The per-batch
-            # sets are handed over as a list — the Plan stage only
-            # flags their slots, so neither concatenating nor
-            # deduplicating across batches would change anything.
-            if future_batches:
-                future_ids = [
-                    b.unique_table_ids(table) for b in future_batches
-                ]
-            return scratchpad.plan_batch(
-                batch.unique_table_ids(table),
-                future_ids,
-                presorted_unique=True,
-            )
         if future_batches:
-            future_ids = np.concatenate(
-                [b.table_ids(table) for b in future_batches]
-            )
-        return scratchpad.plan_batch(batch.sparse_ids[table], future_ids)
+            future_ids = [b.unique_table_ids(table) for b in future_batches]
+        return self.scratchpads[table].plan_batch(
+            batch.unique_table_ids(table), future_ids, presorted_unique=True
+        )
+
+    def _plan_monitored(
+        self,
+        cycle: int,
+        table: int,
+        batch: MiniBatch,
+        future_batches: List[MiniBatch],
+    ) -> TablePlan:
+        """Plan one table of one batch and show the plan to the monitor
+        (the per-table unit of Plan work — also the unit the overlapped
+        executor shards across workers)."""
+        plan = self._plan_table(table, batch, future_batches)
+        if self.monitor is not None:
+            self.monitor.on_plan(cycle, table, plan)
+        return plan
 
     def _do_plan(self, record: _InFlight, cycle: int) -> None:
-        batch = record.batch
-        future_batches = self._future_batches(batch.index)
-        for table in range(self.config.num_tables):
-            plan = self._plan_table(table, batch, future_batches)
-            record.plans.append(plan)
-            if self.monitor is not None:
-                self.monitor.on_plan(cycle, table, plan)
+        """The inline plan source: every table, in this process."""
+        fault_point("pipeline.stage", detail=f"plan:{record.index}")
+        batch = self._get_batch(record.index)
+        future_batches = self._future_batches(record.index)
+        record.plans = [
+            self._plan_monitored(cycle, table, batch, future_batches)
+            for table in range(self.config.num_tables)
+        ]
 
     def _do_collect(self, record: _InFlight) -> None:
         if not self._functional:
             return
-        index = record.batch.index
+        index = record.index
         for table, plan in enumerate(record.plans):
             staging = self._staging[table]
             cpu_table = self.cpu_tables[table]
@@ -608,20 +600,15 @@ class ScratchPipePipeline:
     def _do_train(self, record: _InFlight) -> Optional[float]:
         if self.trainer is None:
             return None
-        return self.trainer.train(record.batch, record.plans, self.scratchpads)
+        return self.trainer.train(
+            self._get_batch(record.index), record.plans, self.scratchpads
+        )
 
     def _stats_for(self, record: _InFlight) -> BatchCacheStats:
-        plans = record.plans
-        return BatchCacheStats(
-            batch_index=record.batch.index,
-            total_lookups=self.config.lookups_per_batch,
-            unique_ids=sum(p.num_unique for p in plans),
-            hits=sum(p.num_hits for p in plans),
-            misses=sum(p.num_misses for p in plans),
-            writebacks=sum(p.num_writebacks for p in plans),
-            per_table_misses=tuple(p.num_misses for p in plans),
-            per_table_hits=tuple(p.num_hits for p in plans),
-            per_table_unique=tuple(p.num_unique for p in plans),
+        if record.stats is not None:
+            return record.stats
+        return BatchCacheStats.from_plans(
+            record.index, self.config.lookups_per_batch, record.plans
         )
 
     # ------------------------------------------------------------------
@@ -665,8 +652,17 @@ class ScratchPipePipeline:
         self,
         num_batches: int,
         losses: Optional[List[float]] = None,
+        plan: Optional[Callable[[_InFlight, int], None]] = None,
     ) -> Iterator[BatchCacheStats]:
-        """The serial cycle loop (the ``"serial"`` executor's body)."""
+        """The cycle loop every executor runs.
+
+        ``plan(record, cycle)`` is the plan source: it fills the record
+        of the batch entering [Plan] at ``cycle``.  The default,
+        :meth:`_do_plan`, plans inline; the overlapped executor passes a
+        receiver that takes the plans from its planner processes.
+        """
+        if plan is None:
+            plan = self._do_plan
         in_flight: Dict[int, _InFlight] = {}
 
         last_cycle = num_batches - 1 + len(STAGES) - 1
@@ -692,10 +688,9 @@ class ScratchPipePipeline:
                 self._do_collect(in_flight[collect_idx])
             plan_idx = cycle - 1
             if 0 <= plan_idx < num_batches:
-                fault_point("pipeline.stage", detail=f"plan:{plan_idx}")
-                self._do_plan(in_flight[plan_idx], cycle)
+                plan(in_flight[plan_idx], cycle)
             if cycle < num_batches:
-                in_flight[cycle] = _InFlight(batch=self._get_batch(cycle))
+                in_flight[cycle] = _InFlight(index=cycle)
             oldest = min(in_flight) if in_flight else num_batches
             self._evict_batches_before(oldest)
             if self.monitor is not None:

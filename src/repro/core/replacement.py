@@ -18,25 +18,22 @@ The tie-break *by slot index* is deliberate: the seed implementation used
 ``np.argpartition``, whose choice among equal scores is an introselect
 implementation detail — impossible to reproduce with any structure that does
 not rescan every slot, and not stable across numpy versions.  Pinning the
-order makes victim choice a well-defined cache semantic that both the scan
-and the incremental implementations below realise bit-identically.
+order makes victim choice a well-defined cache semantic that the
+incremental implementation below and the full-scan oracle realise
+bit-identically.
 
-Two implementations of the same semantics
------------------------------------------
-* ``legacy=True`` — the seed-style full scan: rebuild the candidate list
-  from a boolean eligibility mask and sort, O(num_slots) per call.  Retained
-  as the oracle for the equivalence property tests (the same pattern as the
-  pipeline's legacy ``HazardMonitor``).
-* ``legacy=False`` (default) — an incrementally maintained score-bucketed
-  candidate queue (:class:`_CandidateBuckets`): ``record_use`` appends the
-  touched slots to the bucket of their new score, and ``select_eligible``
-  pops victims from the lowest buckets, checking eligibility per candidate
-  with O(1) hold-stamp compares.  Stale entries (slots whose score moved on)
-  are dropped lazily when encountered, so the per-cycle cost tracks the
-  slots actually touched — O(misses) — instead of ``num_slots``.
-
-``REPRO_LEGACY_SELECT=1`` in the environment flips every policy built by
-:func:`make_policy` to the scan oracle (a whole-run verification hook).
+Incremental selection
+---------------------
+An incrementally maintained score-bucketed candidate queue
+(:class:`_CandidateBuckets`) realises that order: ``record_use`` appends
+the touched slots to the bucket of their new score, and
+``select_eligible`` pops victims from the lowest buckets, checking
+eligibility per candidate with O(1) hold-stamp compares.  Stale entries
+(slots whose score moved on) are dropped lazily when encountered, so the
+per-cycle cost tracks the slots actually touched — O(misses) — instead of
+``num_slots``.  A full scan (rebuild the candidate list from a boolean
+eligibility mask and sort, O(num_slots) per call) is the equivalence-test
+oracle in :mod:`repro.testing.oracles`.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
-from repro._env import read_env_flag
 from repro.errors import ReplacementConfigError, ReplacementStateError
 
 #: Chunk floor for the bucket walk: candidates are validated in slices of at
@@ -100,7 +96,7 @@ class _CandidateBuckets:
     a pop walk encounters it (its live entry sits in a later-pushed bucket).
     Selection is a pure query: popped candidates stay in their bucket until
     their score changes, so repeated pops with unchanged state return the
-    same victims — exactly like the scan oracle.
+    same victims — exactly like a stateless full scan.
 
     Buckets store lists of sorted, ascending-disjoint array parts so that
     consuming the head of a large bucket (the initial all-vacant free list)
@@ -233,12 +229,9 @@ class ReplacementPolicy:
 
     Attributes:
         num_slots: Number of Storage slots managed.
-        legacy: Use the full-scan selection path (the equivalence-test
-            oracle) instead of the incremental candidate queue.
     """
 
     num_slots: int
-    legacy: bool = False
     _last_use: np.ndarray = field(init=False, repr=False)
     _buckets: Optional[_CandidateBuckets] = field(
         init=False, default=None, repr=False
@@ -265,7 +258,7 @@ class ReplacementPolicy:
 
     def bind_hold_mask(self, hold_mask) -> None:
         """Attach the :class:`~repro.core.holdmask.HoldMask` whose stamps
-        the incremental path consults for per-candidate eligibility."""
+        victim selection consults for per-candidate eligibility."""
         self._hold_mask = hold_mask
 
     def record_use(self, slots: np.ndarray, cycle: int) -> None:
@@ -287,54 +280,21 @@ class ReplacementPolicy:
         if self._buckets is not None:
             self._buckets.rebuild()
 
-    # ------------------------------------------------------------------
-    # Scan path (the ``legacy=True`` oracle)
-    # ------------------------------------------------------------------
-    def select(self, eligible: np.ndarray, count: int) -> np.ndarray:
-        """Choose ``count`` victim slots among ``eligible`` (boolean mask).
-
-        Full-scan implementation of the canonical (score, slot) semantics;
-        returns an int64 array of ``count`` distinct slots in selection
-        order.
-
-        Raises:
-            CachePressureError: If fewer than ``count`` slots are eligible.
-        """
-        candidates = self._candidates(eligible, count)
-        return self._take_smallest(candidates, self._scores(), count)
-
-    def _candidates(self, eligible: np.ndarray, count: int) -> np.ndarray:
-        candidates = np.flatnonzero(eligible)
-        if candidates.size < count:
-            raise CachePressureError(
-                f"need {count} victims but only {candidates.size} of "
-                f"{self.num_slots} slots are eligible; enlarge the scratchpad "
-                "(see repro.core.scratchpad.required_slots)"
-            )
-        return candidates
-
-    @staticmethod
-    def _take_smallest(
-        candidates: np.ndarray, scores: np.ndarray, count: int
-    ) -> np.ndarray:
-        """The ``count`` candidates smallest under (score, slot index).
-
-        ``candidates`` ascends by construction (``flatnonzero``), so a
-        stable argsort on the scores realises the lexicographic order.
-        """
-        if count == 0:
-            return _EMPTY_SLOTS
-        order = np.argsort(scores[candidates], kind="stable")
-        return candidates[order[:count]]
+    def _pressure(self, available: int, count: int) -> CachePressureError:
+        return CachePressureError(
+            f"need {count} victims but only {available} of "
+            f"{self.num_slots} slots are eligible; enlarge the scratchpad "
+            "(see repro.core.scratchpad.required_slots)"
+        )
 
     # ------------------------------------------------------------------
-    # Incremental path (the default)
+    # Victim selection
     # ------------------------------------------------------------------
     def _ensure_incremental(self) -> _CandidateBuckets:
         if self._hold_mask is None:
             raise ReplacementStateError(
                 "select_eligible() needs a bound HoldMask; call "
-                "bind_hold_mask() first (or use legacy=True with select())"
+                "bind_hold_mask() first"
             )
         if self._buckets is None:
             self._buckets = _CandidateBuckets(self._scores(), self.num_slots)
@@ -369,8 +329,11 @@ class ReplacementPolicy:
         Eligibility is "hold stamp expired and not transiently protected"
         (the Plan stage's future-window lookahead); ``transient`` is an
         array of protected slots or an exclusion object (see
-        :meth:`_exclusion_for`).  Bit-identical to ``select()`` over the
+        :meth:`_exclusion_for`).  Bit-identical to a full scan over the
         eligibility mask the bound hold mask and the transient set describe.
+
+        Raises:
+            CachePressureError: If fewer than ``count`` slots are eligible.
         """
         if count == 0:
             return _EMPTY_SLOTS
@@ -391,11 +354,7 @@ class ReplacementPolicy:
                 count, hold.release_stamps, hold.clock, exclude
             )
         if got < count:
-            raise CachePressureError(
-                f"need {count} victims but only {got} of "
-                f"{self.num_slots} slots are eligible; enlarge the scratchpad "
-                "(see repro.core.scratchpad.required_slots)"
-            )
+            raise self._pressure(got, count)
         return victims
 
 
@@ -481,19 +440,6 @@ class RandomPolicy(ReplacementPolicy):
         super().reset()
         self._rng = np.random.default_rng(self.seed)
 
-    def select(self, eligible: np.ndarray, count: int) -> np.ndarray:
-        candidates = self._candidates(eligible, count)
-        if count == 0:
-            return _EMPTY_SLOTS
-        # ``candidates`` ascends, so the vacant subset is already in the
-        # pinned warm-up order (smallest slot index first).
-        vacant = candidates[self._last_use[candidates] < 0]
-        if vacant.size >= count:
-            return vacant[:count]
-        used = candidates[self._last_use[candidates] >= 0]
-        extra = self._rng.choice(used, size=count - vacant.size, replace=False)
-        return np.concatenate([vacant, extra])
-
     def select_eligible(self, count: int, transient=None) -> np.ndarray:
         if count == 0:
             return _EMPTY_SLOTS
@@ -506,7 +452,7 @@ class RandomPolicy(ReplacementPolicy):
         if got >= count:
             return vacant
         # Random-eviction tail: materialise the sorted eligible-used
-        # population the scan oracle would draw from (see class docs).
+        # population a full scan would draw from (see class docs).
         eligible_used = (hold.release_stamps <= hold.clock) & (
             self._last_use >= 0
         )
@@ -514,11 +460,7 @@ class RandomPolicy(ReplacementPolicy):
         if exclude is not None and used.size:
             used = used[~exclude.mask(used)]
         if got + used.size < count:
-            raise CachePressureError(
-                f"need {count} victims but only {got + used.size} of "
-                f"{self.num_slots} slots are eligible; enlarge the scratchpad "
-                "(see repro.core.scratchpad.required_slots)"
-            )
+            raise self._pressure(got + used.size, count)
         extra = self._rng.choice(used, size=count - got, replace=False)
         return np.concatenate([vacant, extra])
 
@@ -575,17 +517,7 @@ register_policy("lfu")(LfuPolicy)
 register_policy("random")(RandomPolicy)
 
 
-def make_policy(
-    name: str, num_slots: int, legacy: Optional[bool] = None
-) -> ReplacementPolicy:
+def make_policy(name: str, num_slots: int) -> ReplacementPolicy:
     """Build a replacement policy by registered name (``"lru"``/``"lfu"``/
-    ``"random"`` plus anything added via :func:`register_policy`).
-
-    ``legacy=None`` (the default) reads ``REPRO_LEGACY_SELECT`` from the
-    environment, so a whole run can be flipped to the scan oracle for
-    verification without threading a flag through every constructor.
-    """
-    policy_cls = policy_class(name)
-    if legacy is None:
-        legacy = read_env_flag("REPRO_LEGACY_SELECT")
-    return policy_cls(num_slots=num_slots, legacy=legacy)
+    ``"random"`` plus anything added via :func:`register_policy`)."""
+    return policy_class(name)(num_slots=num_slots)

@@ -108,10 +108,6 @@ class GpuScratchpad:
         past_window: Hold-mask past window (3 in the paper's pipeline).
         policy_name: Replacement policy (``"lru"``/``"lfu"``/``"random"``).
         with_storage: Materialise a numpy Storage array.
-        legacy_select: Run victim selection through the full-scan oracle
-            policies instead of the incremental candidate queues (see
-            ``repro.core.replacement``); ``None`` defers to the
-            ``REPRO_LEGACY_SELECT`` environment hook.
         table_index: Which table this scratchpad caches, threaded into
             cache-pressure diagnostics (``None`` for standalone use).
     """
@@ -122,7 +118,6 @@ class GpuScratchpad:
     past_window: int = 3
     policy_name: str = "lru"
     with_storage: bool = False
-    legacy_select: Optional[bool] = None
     table_index: Optional[int] = None
     hit_map: HitMap = field(init=False)
     hold_mask: HoldMask = field(init=False)
@@ -135,9 +130,7 @@ class GpuScratchpad:
             raise ScratchpadConfigError("dim must be >= 1 when storage is materialised")
         self.hit_map = HitMap(self.num_slots, self.num_rows)
         self.hold_mask = HoldMask(self.num_slots, past_window=self.past_window)
-        self.policy = make_policy(
-            self.policy_name, self.num_slots, legacy=self.legacy_select
-        )
+        self.policy = make_policy(self.policy_name, self.num_slots)
         self.policy.bind_hold_mask(self.hold_mask)
         if self.with_storage:
             self.storage = np.zeros((self.num_slots, self.dim), dtype=np.float32)
@@ -220,19 +213,10 @@ class GpuScratchpad:
             # per-batch unique sets only re-flag slots, so deduplication
             # across batches is pointless.
             try:
-                if self.policy.legacy:
-                    transient_slots = self._future_held_slots(
-                        future_ids, presorted_unique
-                    )
-                    eligible = self.hold_mask.eligible_mask()
-                    if transient_slots is not None and transient_slots.size:
-                        eligible[transient_slots] = False
-                    fill_slots = self.policy.select(eligible, miss_ids.size)
-                else:
-                    fill_slots = self.policy.select_eligible(
-                        miss_ids.size,
-                        self._future_raw_slots(future_ids, presorted_unique),
-                    )
+                fill_slots = self.policy.select_eligible(
+                    miss_ids.size,
+                    self._future_raw_slots(future_ids, presorted_unique),
+                )
             except CachePressureError as error:
                 table = (
                     f"table {self.table_index}"
@@ -264,10 +248,10 @@ class GpuScratchpad:
     def _future_raw_slots(self, future_ids, presorted_unique: bool):
         """Future-window slots as raw per-part lookups (may contain -1).
 
-        The incremental policies arm transient protection straight from
-        these (uncached future IDs map to -1, which lands on the exclusion
-        stamp's sacrificial element), skipping the hit filtering and
-        concatenation the boolean-mask path needs.
+        The policies arm transient protection straight from these
+        (uncached future IDs map to -1, which lands on the exclusion
+        stamp's sacrificial element), skipping any hit filtering or
+        concatenation.
         """
         if future_ids is None or len(future_ids) == 0:
             return None
@@ -284,37 +268,6 @@ class GpuScratchpad:
             np.asarray(future_ids, dtype=np.int64).reshape(-1)
         )
         return [self.hit_map.slots_raw(future_keys, presorted_unique=True)]
-
-    def _future_held_slots(
-        self, future_ids, presorted_unique: bool
-    ) -> Optional[np.ndarray]:
-        """Slots the future-window batches will hit (may repeat), or None."""
-        if future_ids is None or len(future_ids) == 0:
-            return None
-        if presorted_unique:
-            if isinstance(future_ids, (list, tuple)):
-                # Per-batch sorted-unique sets: the O(1) first/last range
-                # check applies per part.
-                parts = [(keys, True) for keys in future_ids]
-            else:
-                # Back-compat: one pre-concatenated array is not globally
-                # sorted, so take the full range validation.
-                parts = [(future_ids, False)]
-            held = []
-            for keys, sorted_part in parts:
-                future_slots, future_hits = self.hit_map.query(
-                    keys, presorted_unique=sorted_part
-                )
-                hit_slots = future_slots[future_hits]
-                if hit_slots.size:
-                    held.append(hit_slots)
-            if not held:
-                return None
-            return held[0] if len(held) == 1 else np.concatenate(held)
-        future_keys = np.unique(np.asarray(future_ids, dtype=np.int64).reshape(-1))
-        future_slots, future_hits = self.hit_map.query(future_keys)
-        hit_slots = future_slots[future_hits]
-        return hit_slots if hit_slots.size else None
 
     # ------------------------------------------------------------------
     # Storage access (functional mode only)

@@ -30,7 +30,6 @@ def make_strawman_scratchpads(
     num_slots,
     policy_name="lru",
     with_storage: bool = False,
-    legacy_select: Optional[bool] = None,
 ) -> List[GpuScratchpad]:
     """Build per-table scratchpads configured for sequential execution.
 
@@ -49,7 +48,6 @@ def make_strawman_scratchpads(
             past_window=0,
             policy_name=policies[table],
             with_storage=with_storage,
-            legacy_select=legacy_select,
             table_index=table,
         )
         for table in range(config.num_tables)
@@ -119,16 +117,8 @@ class StrawmanCache:
             self._exchange_and_insert(plans)
         if self.trainer is not None:
             self._losses.append(self.trainer.train(batch, plans, self.scratchpads))
-        return BatchCacheStats(
-            batch_index=batch.index,
-            total_lookups=self.config.lookups_per_batch,
-            unique_ids=sum(p.num_unique for p in plans),
-            hits=sum(p.num_hits for p in plans),
-            misses=sum(p.num_misses for p in plans),
-            writebacks=sum(p.num_writebacks for p in plans),
-            per_table_misses=tuple(p.num_misses for p in plans),
-            per_table_hits=tuple(p.num_hits for p in plans),
-            per_table_unique=tuple(p.num_unique for p in plans),
+        return BatchCacheStats.from_plans(
+            batch.index, self.config.lookups_per_batch, plans
         )
 
     def run(self, dataset_batches: object, num_batches: Optional[int] = None) -> List[BatchCacheStats]:

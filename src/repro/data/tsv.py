@@ -20,16 +20,13 @@ versions and numpy versions, which is the determinism contract file-backed
 traces must honour (builtin ``hash()`` is interpreter-salted, and a
 crc32-of-formatted-string hash costs a Python round-trip per token).
 
-Two engines produce bit-identical IDs:
-
-* ``engine="numpy"`` (the default) tokenises and hashes **whole blocks of
-  batches at a time**: one ``np.frombuffer`` pass finds the field
-  separators, one unaligned-word gather + masked fold evaluates every
-  token's hash at once, and a single table-salted :func:`mix64` pass
-  finishes the bucket IDs.  This is the >=20x fast path the ingest
-  benchmark records.
-* ``engine="python"`` is the per-token reference loop (the shape of the
-  pre-vectorisation implementation), kept as the equivalence oracle.
+Parsing tokenises and hashes **whole blocks of batches at a time**: one
+``np.frombuffer`` pass finds the field separators, one unaligned-word
+gather + masked fold evaluates every token's hash at once, and a single
+table-salted :func:`mix64` pass finishes the bucket IDs.  A per-token
+loop over :func:`hash_token` (>=20x slower, as the ingest benchmark
+records) is the equivalence-test oracle
+``repro.testing.oracles.PerTokenTsvTraceSource``.
 
 For repeated experiments, compile the file once with
 :func:`repro.data.io.compile_trace` — the compiled form is memmapped with
@@ -161,8 +158,6 @@ class TsvTraceSource(TraceSource):
         max_batches: Cap the trace length.  The construction-time counting
             pass stops as soon as ``max_batches * batch_size`` valid
             samples are seen instead of scanning the whole file.
-        engine: ``"numpy"`` (vectorised, default) or ``"python"`` (the
-            per-token reference loop).  Both produce bit-identical IDs.
         allow_dense_pad: Documented opt-out for dense-width mismatches:
             extra file columns are truncated, missing ones zero-filled.
     """
@@ -172,7 +167,7 @@ class TsvTraceSource(TraceSource):
     #: window) so a pipeline run never seeks backwards past the window.
     WINDOW_BATCHES = 16
 
-    #: Lines the numpy engine tokenises per vectorised pass.  Hashing one
+    #: Lines tokenised per vectorised pass.  Hashing one
     #: batch at a time leaves the bulk hash dominated by fixed numpy call
     #: overhead; a block of several batches amortises it (the parsed
     #: batches queue up for the forward cursor, bounded by this constant).
@@ -185,13 +180,8 @@ class TsvTraceSource(TraceSource):
         num_dense_columns: int = 13,
         with_dense: bool = False,
         max_batches: Optional[int] = None,
-        engine: str = "numpy",
         allow_dense_pad: bool = False,
     ) -> None:
-        if engine not in ("numpy", "python"):
-            raise TsvFormatError(
-                f"unknown TSV engine {engine!r}; expected 'numpy' or 'python'"
-            )
         if num_dense_columns < 0:
             raise TsvFormatError(
                 f"num_dense_columns must be >= 0, got {num_dense_columns}"
@@ -209,7 +199,6 @@ class TsvTraceSource(TraceSource):
         self.path = str(path)
         self.num_dense_columns = num_dense_columns
         self.with_dense = with_dense
-        self.engine = engine
         self.allow_dense_pad = allow_dense_pad
         self._columns_needed = config.num_tables * config.lookups_per_table
         # Counting pass: sample count determines the trace length.  With
@@ -327,9 +316,7 @@ class TsvTraceSource(TraceSource):
         del queue[:count]
         return taken
 
-    def _parse_ids_numpy(
-        self, lines: List[bytes], first_sample: int
-    ) -> np.ndarray:
+    def _parse_ids(self, lines: List[bytes], first_sample: int) -> np.ndarray:
         """Hash every categorical token of a block of lines in bulk."""
         cfg = self.config
         n = len(lines)
@@ -376,31 +363,6 @@ class TsvTraceSource(TraceSource):
             .transpose(0, 2, 1)
         )
 
-    def _parse_ids_python(
-        self, lines: List[bytes], first_sample: int
-    ) -> np.ndarray:
-        """Per-token reference loop; bit-identical to the numpy engine."""
-        cfg = self.config
-        num_rows = cfg.rows_per_table
-        ids = np.empty(
-            (cfg.num_tables, len(lines), cfg.lookups_per_table), dtype=np.int64
-        )
-        for sample, line in enumerate(lines):
-            fields = line.split(b"\t")
-            cats = fields[1 + self.num_dense_columns:]
-            if len(cats) < self._columns_needed:
-                raise TsvFormatError(
-                    f"TSV sample {first_sample + sample}"
-                    f" has {len(cats)} categorical fields; need >= "
-                    f"{self._columns_needed}"
-                )
-            for column in range(self._columns_needed):
-                table, lookup = divmod(column, cfg.lookups_per_table)
-                ids[table, sample, lookup] = hash_token(
-                    cats[column], table, num_rows
-                )
-        return ids
-
     def _parse_dense(self, lines: List[bytes]):
         cfg = self.config
         dense = np.zeros(
@@ -416,26 +378,16 @@ class TsvTraceSource(TraceSource):
         return dense, labels
 
     def _fill_ready(self) -> None:
-        """Parse the next block of batches into the forward queue.
-
-        The numpy engine tokenises up to :data:`PARSE_BLOCK_LINES` lines
-        per pass; the python reference engine stays one batch at a time.
-        """
+        """Parse the next block of up to :data:`PARSE_BLOCK_LINES` lines
+        into the forward queue."""
         cfg = self.config
         first_batch = self._next_to_parse
         remaining = self._num_batches - first_batch
-        if self.engine == "numpy":
-            block_batches = max(
-                1, min(remaining, self.PARSE_BLOCK_LINES // cfg.batch_size)
-            )
-        else:
-            block_batches = 1
+        block_batches = max(
+            1, min(remaining, self.PARSE_BLOCK_LINES // cfg.batch_size)
+        )
         lines = self._read_lines(block_batches * cfg.batch_size)
-        first_sample = first_batch * cfg.batch_size
-        if self.engine == "numpy":
-            ids = self._parse_ids_numpy(lines, first_sample)
-        else:
-            ids = self._parse_ids_python(lines, first_sample)
+        ids = self._parse_ids(lines, first_batch * cfg.batch_size)
         dense = labels = None
         if self.with_dense:
             dense, labels = self._parse_dense(lines)

@@ -24,6 +24,7 @@ __all__ = [
     "ErrorTaxonomyRule",
     "ShmDisciplineRule",
     "ProcessDisciplineRule",
+    "OracleIsolationRule",
     "EnvDisciplineRule",
     "WorkerCaptureRule",
 ]
@@ -568,6 +569,74 @@ class ProcessDisciplineRule(LintRule):
 
 
 # ----------------------------------------------------------------------
+# oracle-isolation
+# ----------------------------------------------------------------------
+_ORACLES = "repro.testing.oracles"
+
+
+def _from_base(node: ast.ImportFrom, rel: str) -> Optional[str]:
+    """Dotted module a ``from ... import`` reads from, resolving relative
+    imports against the ``repro`` package path in ``rel`` (``None`` when
+    a relative import cannot be placed)."""
+    if not node.level:
+        return node.module
+    parts = rel.split("/")
+    if "repro" not in parts:
+        return None
+    package = parts[parts.index("repro"):-1]
+    if node.level - 1 > len(package):
+        return None
+    base = package[: len(package) - (node.level - 1)]
+    if node.module:
+        base = base + node.module.split(".")
+    return ".".join(base)
+
+
+@register_rule
+class OracleIsolationRule(LintRule):
+    """The equivalence oracles stay out of production code.
+
+    ``repro.testing.oracles`` keeps the slow seed-style reference
+    implementations (dict hazard monitor, full-scan victim selection,
+    per-cycle ``np.unique`` planning, per-token TSV hashing) that the
+    equivalence tests inject.  Production has one implementation per
+    job; importing an oracle from any module outside ``repro/testing``
+    would put a second one back on a production path.
+    """
+
+    name = "oracle-isolation"
+    description = (
+        "repro.testing.oracles imported only inside repro/testing/"
+    )
+
+    allowed_package = "repro/testing/"
+
+    def check(self, module: SourceModule) -> Iterator[Finding]:
+        if f"/{self.allowed_package}" in f"/{module.rel}":
+            return
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                imported = [name.name for name in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = _from_base(node, module.rel)
+                if base is None:
+                    continue
+                imported = [base] + [f"{base}.{n.name}" for n in node.names]
+            else:
+                continue
+            if any(
+                name == _ORACLES or name.startswith(_ORACLES + ".")
+                for name in imported
+            ):
+                yield module.finding(
+                    node, self.name,
+                    f"import of {_ORACLES} outside repro/testing; the "
+                    "equivalence oracles are for tests — production code "
+                    "keeps one implementation per job",
+                )
+
+
+# ----------------------------------------------------------------------
 # env-discipline
 # ----------------------------------------------------------------------
 _ENV_SURFACES = frozenset({"os.environ", "os.getenv", "os.putenv"})
@@ -608,7 +677,7 @@ class EnvDisciplineRule(LintRule):
                     yield module.finding(
                         node, self.name,
                         f"direct {dotted} access; read through "
-                        "repro._env (read_env/read_env_flag/write_env)",
+                        "repro._env (read_env/write_env)",
                     )
 
 

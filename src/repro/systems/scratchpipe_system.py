@@ -103,7 +103,6 @@ def make_scratchpads(
     policy_name: Union[str, Sequence[str]] = "lru",
     with_storage: bool = False,
     past_window: int = 3,
-    legacy_select: "Optional[bool]" = None,
 ) -> List[GpuScratchpad]:
     """Build one pipelined-mode scratchpad per table.
 
@@ -121,7 +120,6 @@ def make_scratchpads(
             past_window=past_window,
             policy_name=policies[table],
             with_storage=with_storage,
-            legacy_select=legacy_select,
             table_index=table,
         )
         for table in range(config.num_tables)
@@ -315,7 +313,6 @@ class ScratchPipeSystem(TrainingSystem):
                 policy_name=self.table_policies,
                 with_storage=self.spec.scratchpad.with_storage,
                 past_window=self.spec.scratchpad.past_window,
-                legacy_select=self.spec.scratchpad.legacy_select,
             )
         else:
             for scratchpad in self._scratchpads:
@@ -342,7 +339,6 @@ class ScratchPipeSystem(TrainingSystem):
             dataset_batches=dataset_batches,
             future_window=self.future_window,
             monitor=monitor,
-            unique_cache=self.spec.pipeline.unique_cache,
             executor=self.executor,
         )
         return pipeline.run(num_batches).cache_stats
@@ -366,7 +362,6 @@ class ScratchPipeSystem(TrainingSystem):
             dataset_batches=dataset_batches,
             future_window=self.future_window,
             monitor=monitor,
-            unique_cache=self.spec.pipeline.unique_cache,
             executor=self.executor,
         )
         return pipeline.stream(num_batches)

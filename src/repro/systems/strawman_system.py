@@ -82,7 +82,6 @@ class StrawmanSystem(TrainingSystem):
                 self.config, self.table_slots,
                 policy_name=self.table_policies,
                 with_storage=self.spec.scratchpad.with_storage,
-                legacy_select=self.spec.scratchpad.legacy_select,
             )
         else:
             for scratchpad in self._scratchpads:

@@ -136,13 +136,12 @@ class TestRandomSpecProperty:
         policy=st.sampled_from(["lru", "lfu", "random"]),
         fraction=st.sampled_from([0.03, 0.05]),
         future_window=st.sampled_from([1, 2, 3]),
-        unique_cache=st.booleans(),
         process=st.sampled_from(["none", "drift", "churn"]),
         locality=st.sampled_from(["high", "medium"]),
     )
     @settings(max_examples=5, deadline=None)
     def test_overlapped_matches_serial_for_random_specs(
-        self, policy, fraction, future_window, unique_cache, process, locality
+        self, policy, fraction, future_window, process, locality
     ):
         cfg = tiny_config(
             rows_per_table=20_000, batch_size=8, lookups_per_table=2,
@@ -160,7 +159,6 @@ class TestRandomSpecProperty:
                 cache=CacheSpec(fraction=fraction, policy=policy),
                 pipeline=PipelineSpec(
                     future_window=future_window,
-                    unique_cache=unique_cache,
                     executor=executor,
                 ),
             )

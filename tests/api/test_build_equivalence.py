@@ -228,28 +228,25 @@ class TestHeterogeneousPath:
         spec = SystemSpec(
             system="scratchpipe",
             cache=CacheSpec(fraction=0.05),
-            scratchpad=ScratchpadSpec(past_window=4, with_storage=True,
-                                      legacy_select=True),
+            scratchpad=ScratchpadSpec(past_window=4, with_storage=True),
         )
         system = build_system(spec, CFG, DEFAULT_HARDWARE)
         system.simulate_cache(TRACE, 4)
         for pad in system._scratchpads:
             assert pad.storage is not None
             assert pad.past_window == 4
-            assert pad.policy.legacy is True
 
-    def test_strawman_legacy_select_honored(self):
+    def test_strawman_pins_past_window_at_zero(self):
         from repro.api import ScratchpadSpec
 
         spec = SystemSpec(
             system="strawman",
             cache=CacheSpec(fraction=0.05),
-            scratchpad=ScratchpadSpec(legacy_select=True),
+            scratchpad=ScratchpadSpec(past_window=4),
         )
         system = build_system(spec, CFG, DEFAULT_HARDWARE)
         system.run_trace(TRACE, 2)
         for pad in system._scratchpads:
-            assert pad.policy.legacy is True
             # Sequential execution fixes the past window at 0 regardless
             # of the spec (documented on ScratchpadSpec).
             assert pad.past_window == 0

@@ -208,12 +208,10 @@ system_specs = st.builds(
         ScratchpadSpec,
         past_window=st.integers(min_value=0, max_value=5),
         with_storage=st.booleans(),
-        legacy_select=st.sampled_from([None, True, False]),
     ),
     pipeline=st.builds(
         PipelineSpec,
         future_window=st.integers(min_value=0, max_value=4),
-        unique_cache=st.booleans(),
     ),
     num_gpus=st.integers(min_value=1, max_value=8),
 )
@@ -258,6 +256,17 @@ class TestRoundTrips:
             SystemSpec.from_dict({"system": "scratchpipe", "turbo": True})
         with pytest.raises(InvalidSystemSpecError, match="unknown cache"):
             CacheSpec.from_dict({"fraction": 0.02, "rows": 10})
+        # Removed oracle selectors: old spec dicts naming them fail loudly.
+        with pytest.raises(InvalidSystemSpecError, match="legacy_select"):
+            SystemSpec.from_dict({
+                "system": "scratchpipe",
+                "scratchpad": {"past_window": 3, "legacy_select": True},
+            })
+        with pytest.raises(InvalidSystemSpecError, match="unique_cache"):
+            SystemSpec.from_dict({
+                "system": "scratchpipe",
+                "pipeline": {"future_window": 2, "unique_cache": False},
+            })
 
 
 class TestCacheSpecParsing:

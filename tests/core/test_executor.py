@@ -4,6 +4,8 @@ injection at the ``pipeline.executor`` site — a crashed, stalled or
 raising planner must surface as a named error, never a hang or a leaked
 shared-memory segment."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,65 @@ class TestMetadataBitIdentity:
             )
             streams.append(list(pipeline.stream()))
         assert streams[0] == streams[1]
+
+
+class _CountingDataset:
+    """Dataset wrapper counting the ``batch()`` calls made in this
+    process (forked planners count into their own copies)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __len__(self):
+        return len(self.inner)
+
+    def batch(self, index):
+        self.calls += 1
+        return self.inner.batch(index)
+
+
+class TestSingleLoop:
+    """Both executors drive the pipeline's one cycle loop; only the plan
+    source differs."""
+
+    def test_early_close_stops_planners(
+        self, cfg, dataset, shm_leak_check, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
+        pipeline = ScratchPipePipeline(
+            config=cfg,
+            scratchpads=make_scratchpads(cfg, required_slots(cfg)),
+            dataset_batches=dataset,
+            monitor=HazardMonitor(strict=True),
+            executor="overlapped",
+        )
+        stream = pipeline.stream()
+        first = [next(stream) for _ in range(3)]
+        assert multiprocessing.active_children()
+        stream.close()
+        assert multiprocessing.active_children() == []
+        assert [s.batch_index for s in first] == [0, 1, 2]
+
+    def test_metadata_parent_never_fetches_batches(
+        self, cfg, dataset, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
+        stats = {}
+        calls = {}
+        for executor in ("serial", "overlapped"):
+            counting = _CountingDataset(dataset)
+            pipeline = ScratchPipePipeline(
+                config=cfg,
+                scratchpads=make_scratchpads(cfg, required_slots(cfg)),
+                dataset_batches=counting,
+                executor=executor,
+            )
+            stats[executor] = pipeline.run().cache_stats
+            calls[executor] = counting.calls
+        assert calls["serial"] == len(dataset)  # the wrapper does count
+        assert calls["overlapped"] == 0
+        assert stats["overlapped"] == stats["serial"]
 
 
 class TestFunctionalBitIdentity:

@@ -5,11 +5,13 @@ loops to numpy array operations; these tests pin the rewrites to their
 originals:
 
 * the vectorised :class:`HazardMonitor` flags *exactly* the violations the
-  legacy dict implementation flags — same messages, same order — on
-  randomised traces with deliberately shrunken windows;
-* the per-batch unique-ID fast path (``unique_cache=True`` /
-  ``presorted_unique=True``) produces bit-identical ``TablePlan``s and
-  ``PipelineResult``s versus the per-cycle ``np.unique`` seed path.
+  dict oracle (``ScanHazardMonitor``) flags — same messages, same order —
+  on randomised traces with deliberately shrunken windows;
+* the per-batch unique-ID planning (``presorted_unique=True``) produces
+  bit-identical ``TablePlan``s and ``PipelineResult``s versus the
+  per-cycle ``np.unique`` oracle (``PerCycleUniquePipeline``).
+
+Both oracles come from ``repro.testing.oracles``.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.core.scratchpad import GpuScratchpad, required_slots
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.model.config import tiny_config
 from repro.systems.scratchpipe_system import make_scratchpads
+from repro.testing.oracles import PerCycleUniquePipeline, ScanHazardMonitor
 
 
 def make_cfg(**overrides):
@@ -31,7 +34,7 @@ def make_cfg(**overrides):
 
 
 def run_monitored(cfg, dataset, past_window, future_window, num_slots,
-                  policy, legacy):
+                  policy, scan):
     pads = [
         GpuScratchpad(
             num_slots=num_slots,
@@ -41,7 +44,7 @@ def run_monitored(cfg, dataset, past_window, future_window, num_slots,
         )
         for _ in range(cfg.num_tables)
     ]
-    monitor = HazardMonitor(strict=False, legacy=legacy)
+    monitor = (ScanHazardMonitor if scan else HazardMonitor)(strict=False)
     ScratchPipePipeline(
         config=cfg,
         scratchpads=pads,
@@ -53,7 +56,7 @@ def run_monitored(cfg, dataset, past_window, future_window, num_slots,
 
 
 class TestHazardMonitorEquivalence:
-    """Vectorised and legacy monitors are interchangeable oracles."""
+    """The vectorised monitor and the dict oracle are interchangeable."""
 
     @pytest.mark.parametrize("past_window,future_window,policy", [
         (0, 0, "random"),   # both hazard classes fire
@@ -69,15 +72,15 @@ class TestHazardMonitorEquivalence:
         cfg = make_cfg()
         num_slots = 34
         violations = {}
-        for legacy in (False, True):
+        for scan in (False, True):
             # Fresh dataset per run: scratchpad planning is deterministic,
             # so both runs see identical plans.
             dataset = make_dataset(cfg, "random", seed=seed, num_batches=60)
             monitor = run_monitored(
                 cfg, dataset, past_window, future_window, num_slots,
-                policy, legacy,
+                policy, scan,
             )
-            violations[legacy] = monitor.violations
+            violations[scan] = monitor.violations
         assert violations[False] == violations[True]
 
     def test_shrunken_windows_do_flag(self):
@@ -85,7 +88,7 @@ class TestHazardMonitorEquivalence:
         # above must actually produce violations.
         cfg = make_cfg()
         dataset = make_dataset(cfg, "random", seed=3, num_batches=60)
-        monitor = run_monitored(cfg, dataset, 0, 0, 34, "random", legacy=False)
+        monitor = run_monitored(cfg, dataset, 0, 0, 34, "random", scan=False)
         assert any("RAW-2/3" in v for v in monitor.violations)
         assert any("RAW-4" in v for v in monitor.violations)
 
@@ -102,7 +105,8 @@ def plan_fields_equal(a, b):
 
 
 class TestUniqueFastPathEquivalence:
-    """The cached-unique Plan path is bit-identical to the seed path."""
+    """The cached-unique Plan path is bit-identical to the per-cycle
+    ``np.unique`` oracle."""
 
     @pytest.mark.parametrize("locality", ["random", "medium", "high"])
     def test_table_plans_bit_identical(self, locality):
@@ -141,12 +145,14 @@ class TestUniqueFastPathEquivalence:
                 make_dataset(cfg, locality, seed=9, num_batches=30)
             )
             monitor = HazardMonitor(strict=False)
-            result = ScratchPipePipeline(
+            pipeline_cls = (
+                ScratchPipePipeline if unique_cache else PerCycleUniquePipeline
+            )
+            result = pipeline_cls(
                 config=cfg,
                 scratchpads=make_scratchpads(cfg, required_slots(cfg)),
                 dataset_batches=dataset,
                 monitor=monitor,
-                unique_cache=unique_cache,
             ).run()
             results[unique_cache] = result
             monitors[unique_cache] = monitor

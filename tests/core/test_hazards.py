@@ -17,6 +17,7 @@ from repro.core.pipeline import HazardError, HazardMonitor, ScratchPipePipeline
 from repro.core.scratchpad import GpuScratchpad, required_slots
 from repro.data.trace import make_dataset
 from repro.model.config import tiny_config
+from repro.testing.oracles import ScanHazardMonitor
 
 
 def make_cfg(**overrides):
@@ -132,7 +133,7 @@ class TestMonitorMechanics:
         )
 
     def test_legacy_retirement_clears_pending_writes(self):
-        monitor = HazardMonitor(strict=False, legacy=True)
+        monitor = ScanHazardMonitor(strict=False)
         # After on_cycle_end past the write cycle, the pending maps drain.
         monitor.on_plan(cycle=1, table=0, plan=self._one_slot_plan())
         assert monitor._pending_slot_writes
@@ -157,8 +158,8 @@ class TestMonitorMechanics:
         # (slot 0 written at [Train]) and RAW-4 (row 5 written back).
         plan = self._one_slot_plan()
         seen = {}
-        for legacy in (False, True):
-            monitor = HazardMonitor(strict=False, legacy=legacy)
+        for scan in (False, True):
+            monitor = (ScanHazardMonitor if scan else HazardMonitor)(strict=False)
             monitor.on_plan(cycle=1, table=0, plan=plan)
             second = self._one_slot_plan()
             second = type(second)(
@@ -171,7 +172,7 @@ class TestMonitorMechanics:
             )
             monitor.on_cycle_end(1)
             monitor.on_plan(cycle=2, table=0, plan=second)
-            seen[legacy] = monitor.violations
+            seen[scan] = monitor.violations
         assert seen[False] == seen[True]
         assert any("RAW-2/3" in v for v in seen[False])
         assert any("RAW-4" in v for v in seen[False])

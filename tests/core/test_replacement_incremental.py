@@ -1,11 +1,11 @@
 """Equivalence of the incremental victim selection with the scan oracle.
 
-The incremental candidate queues (``legacy=False``, the default) must pick
-*bit-identical* victims, in identical order, to the retained full-scan
-policies (``legacy=True``) under arbitrary interleavings of hold / advance /
-record_use / select / reset — for all three policies, including selects
-whose victims are never used afterwards (selection is a pure query) and
-states rebuilt after ``reset()``.
+The incremental candidate queues of the production policies must pick
+*bit-identical* victims, in identical order, to the full-scan oracle
+policies of ``repro.testing.oracles`` under arbitrary interleavings of
+hold / advance / record_use / select / reset — for all three policies,
+including selects whose victims are never used afterwards (selection is a
+pure query) and states rebuilt after ``reset()``.
 """
 
 import numpy as np
@@ -19,6 +19,11 @@ from repro.core.replacement import (
     LruPolicy,
     RandomPolicy,
     make_policy,
+)
+from repro.testing.oracles import (
+    ScanRandomPolicy,
+    make_scan_policy,
+    use_scan_policies,
 )
 
 NUM_SLOTS = 24
@@ -60,10 +65,11 @@ def op_sequences(draw):
     return ops
 
 
-def _replay(policy_name, legacy, ops):
+def _replay(policy_name, scan, ops):
     """Replay one op sequence; returns the trace of select outcomes."""
     mask = HoldMask(num_slots=NUM_SLOTS, past_window=PAST_WINDOW)
-    policy = make_policy(policy_name, NUM_SLOTS, legacy=legacy)
+    make = make_scan_policy if scan else make_policy
+    policy = make(policy_name, NUM_SLOTS)
     policy.bind_hold_mask(mask)
     outcomes = []
     cycle = 0
@@ -84,13 +90,7 @@ def _replay(policy_name, legacy, ops):
             _, count, transient, use_victims = op
             transient = np.array(transient, dtype=np.int64)
             try:
-                if legacy:
-                    eligible = mask.eligible_mask()
-                    if transient.size:
-                        eligible[transient] = False
-                    victims = policy.select(eligible, count)
-                else:
-                    victims = policy.select_eligible(count, transient)
+                victims = policy.select_eligible(count, transient)
             except CachePressureError:
                 outcomes.append("pressure")
                 continue
@@ -117,7 +117,7 @@ class TestIncrementalMatchesOracle:
         """Selection must not consume candidacy: with unchanged state the
         same victims come back (matching the stateless scan oracle)."""
         mask = HoldMask(num_slots=NUM_SLOTS, past_window=PAST_WINDOW)
-        policy = make_policy(policy_name, NUM_SLOTS, legacy=False)
+        policy = make_policy(policy_name, NUM_SLOTS)
         policy.bind_hold_mask(mask)
         slots = np.arange(10, dtype=np.int64)
         mask.hold(slots)
@@ -158,20 +158,17 @@ class TestRandomVacancyOrder:
     """Regression: the vacancy-fill order of RandomPolicy is pinned to
     ascending slot index, for both implementations."""
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_warmup_fills_sorted_vacancies(self, legacy):
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_warmup_fills_sorted_vacancies(self, scan):
         mask = HoldMask(num_slots=12, past_window=1)
-        policy = RandomPolicy(num_slots=12, legacy=legacy, seed=7)
+        policy = (ScanRandomPolicy if scan else RandomPolicy)(num_slots=12, seed=7)
         policy.bind_hold_mask(mask)
         used = np.array([0, 3, 4], dtype=np.int64)
         mask.hold(used)
         policy.record_use(used, cycle=1)
         for _ in range(2):
             mask.advance()
-        if legacy:
-            victims = policy.select(mask.eligible_mask(), 5)
-        else:
-            victims = policy.select_eligible(5)
+        victims = policy.select_eligible(5)
         # Deterministic warm-up: the five smallest vacant slot indices.
         assert victims.tolist() == [1, 2, 5, 6, 7]
 
@@ -179,9 +176,9 @@ class TestRandomVacancyOrder:
         """Once vacancies run out, both implementations must consume the
         RNG identically (the sensitivity figures depend on every draw)."""
         outcomes = []
-        for legacy in (True, False):
+        for policy_cls in (ScanRandomPolicy, RandomPolicy):
             mask = HoldMask(num_slots=10, past_window=0)
-            policy = RandomPolicy(num_slots=10, legacy=legacy, seed=3)
+            policy = policy_cls(num_slots=10, seed=3)
             policy.bind_hold_mask(mask)
             picks = []
             for cycle in range(1, 9):
@@ -189,10 +186,7 @@ class TestRandomVacancyOrder:
                 mask.hold(slots)
                 policy.record_use(slots, cycle)
                 mask.advance()
-                if legacy:
-                    picks.append(policy.select(mask.eligible_mask(), 4).tolist())
-                else:
-                    picks.append(policy.select_eligible(4).tolist())
+                picks.append(policy.select_eligible(4).tolist())
             outcomes.append(picks)
         assert outcomes[0] == outcomes[1]
 
@@ -225,12 +219,11 @@ class TestPipelineOracleEquivalence:
         )
         dataset = make_dataset(cfg, "random", seed=11, num_batches=30)
 
-        def run(legacy):
+        def run(scan):
+            pads = make_scratchpads(cfg, 150, policy_name=policy_name)
             pipeline = ScratchPipePipeline(
                 config=cfg,
-                scratchpads=make_scratchpads(
-                    cfg, 150, policy_name=policy_name, legacy_select=legacy
-                ),
+                scratchpads=use_scan_policies(pads) if scan else pads,
                 dataset_batches=dataset,
                 monitor=HazardMonitor(strict=True),
             )

@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.tsv import TsvTraceSource, hash_token
 from repro.model.config import tiny_config
+from repro.testing.oracles import PerTokenTsvTraceSource
 
 
 @pytest.fixture
@@ -68,8 +69,8 @@ class TestEngineEquivalence:
     def test_numpy_matches_python_engine(self, cfg, tmp_path, rng):
         path = tmp_path / "t.tsv"
         _write_tsv(path, 24, 4, rng)
-        fast = TsvTraceSource(path, cfg, engine="numpy")
-        slow = TsvTraceSource(path, cfg, engine="python")
+        fast = TsvTraceSource(path, cfg)
+        slow = PerTokenTsvTraceSource(path, cfg)
         assert len(fast) == len(slow) == 6
         for i in range(6):
             assert np.array_equal(fast.batch(i).sparse_ids,
@@ -82,8 +83,8 @@ class TestEngineEquivalence:
                 cats = ["", "x", "", f"y{i}"]
                 fields = ["0"] + [str(d) for d in range(13)] + cats
                 fh.write("\t".join(fields) + ("\r\n" if i % 2 else "\n"))
-        fast = TsvTraceSource(path, cfg, engine="numpy")
-        slow = TsvTraceSource(path, cfg, engine="python")
+        fast = TsvTraceSource(path, cfg)
+        slow = PerTokenTsvTraceSource(path, cfg)
         for i in range(2):
             assert np.array_equal(fast.batch(i).sparse_ids,
                                   slow.batch(i).sparse_ids)
@@ -102,15 +103,11 @@ class TestEngineEquivalence:
                         "x", "y"]
                 fields = ["1"] + [str(d) for d in range(13)] + cats
                 fh.write("\t".join(fields) + "\n")
-        fast = TsvTraceSource(path, cfg, engine="numpy")
-        slow = TsvTraceSource(path, cfg, engine="python")
+        fast = TsvTraceSource(path, cfg)
+        slow = PerTokenTsvTraceSource(path, cfg)
         for i in range(2):
             assert np.array_equal(fast.batch(i).sparse_ids,
                                   slow.batch(i).sparse_ids)
-
-    def test_unknown_engine_rejected(self, cfg, tmp_path):
-        with pytest.raises(ValueError, match="engine"):
-            TsvTraceSource(tmp_path / "x.tsv", cfg, engine="rust")
 
     def test_hash_is_process_stable(self):
         # Pinned values: the token hash is part of the on-disk determinism

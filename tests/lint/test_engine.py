@@ -177,7 +177,8 @@ class TestRegistry:
         names = {cls.name for cls in registered_rules()}
         assert names >= {
             "determinism", "set-order", "spec-purity", "error-taxonomy",
-            "shm-discipline", "process-discipline", "env-discipline",
+            "shm-discipline", "process-discipline", "oracle-isolation",
+            "env-discipline",
             "worker-capture",
         }
 

@@ -57,7 +57,8 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         for name in ("determinism", "set-order", "spec-purity",
                      "error-taxonomy", "shm-discipline",
-                     "process-discipline", "env-discipline",
+                     "process-discipline", "oracle-isolation",
+                     "env-discipline",
                      "worker-capture"):
             assert name in proc.stdout
 

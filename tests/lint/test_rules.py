@@ -295,6 +295,44 @@ class TestProcessDiscipline:
         assert run.clean
 
 
+class TestOracleIsolation:
+    @pytest.mark.parametrize("stmt", [
+        "import repro.testing.oracles",
+        "import repro.testing.oracles as oracles",
+        "from repro.testing.oracles import ScanHazardMonitor",
+        "from repro.testing import oracles",
+        "from repro.testing import faults, oracles",
+    ])
+    def test_oracle_imports_flagged(self, tmp_path, stmt):
+        run = lint_source(tmp_path, stmt + "\n", "oracle-isolation",
+                          rel="repro/core/pipeline.py")
+        assert rules_found(run) == ["oracle-isolation"]
+
+    @pytest.mark.parametrize("stmt", [
+        "from ..testing.oracles import ScanHazardMonitor",
+        "from ..testing import oracles",
+    ])
+    def test_relative_oracle_imports_flagged(self, tmp_path, stmt):
+        run = lint_source(tmp_path, stmt + "\n", "oracle-isolation",
+                          rel="src/repro/core/pipeline.py")
+        assert rules_found(run) == ["oracle-isolation"]
+
+    def test_other_testing_modules_allowed(self, tmp_path):
+        run = lint_source(tmp_path, """\
+            from repro.testing import faults
+            from repro.testing.faults import fault_point
+            from ..testing.faults import FaultSpec
+            """, "oracle-isolation", rel="src/repro/core/executor.py")
+        assert run.clean
+
+    def test_testing_package_allowed(self, tmp_path):
+        run = lint_source(tmp_path, """\
+            from repro.testing.oracles import ScanHazardMonitor
+            from . import oracles
+            """, "oracle-isolation", rel="src/repro/testing/helpers.py")
+        assert run.clean
+
+
 class TestEnvDiscipline:
     def test_environ_and_getenv_flagged(self, tmp_path):
         run = lint_source(tmp_path, """\
