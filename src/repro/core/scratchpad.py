@@ -81,11 +81,13 @@ class TablePlan:
         """Dirty victims that must be written back to the CPU table."""
         return int(np.count_nonzero(self.evicted_ids != EMPTY))
 
-    def slots_for(self, ids: np.ndarray) -> np.ndarray:
-        """Map arbitrary (possibly repeated) batch IDs to their slots.
+    def positions_for(self, ids: np.ndarray) -> np.ndarray:
+        """Map arbitrary (possibly repeated) batch IDs to their positions
+        in ``unique_ids`` (and so in ``slots``), keeping the shape of ``ids``.
 
         Every ID must appear in ``unique_ids`` — guaranteed for the batch
-        this plan was built from.
+        this plan was built from; anything else raises
+        :class:`PlanCoverageError`.
         """
         flat = np.asarray(ids, dtype=np.int64).reshape(-1)
         positions = np.searchsorted(self.unique_ids, flat)
@@ -93,7 +95,11 @@ class TablePlan:
             self.unique_ids[positions], flat
         ):
             raise PlanCoverageError("plan does not cover all requested IDs")
-        return self.slots[positions].reshape(np.asarray(ids).shape)
+        return positions.reshape(np.shape(ids))
+
+    def slots_for(self, ids: np.ndarray) -> np.ndarray:
+        """Map arbitrary (possibly repeated) batch IDs to their slots."""
+        return self.slots[self.positions_for(ids)]
 
 
 @dataclass

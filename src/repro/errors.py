@@ -38,6 +38,7 @@ __all__ = [
     "ScratchpadConfigError",
     "ScratchpadStateError",
     "PlanCoverageError",
+    "PlanMismatchError",
     "ReplacementConfigError",
     "ReplacementStateError",
     "TimelineConfigError",
@@ -136,6 +137,17 @@ class ScratchpadStateError(RuntimeError):
 
 class PlanCoverageError(KeyError):
     """A batch requested IDs the corresponding plan does not cover."""
+
+
+class PlanMismatchError(AssertionError, RuntimeError):
+    """[Train] got a plan that covers IDs its batch never looks up.
+
+    The plan belongs to another batch: scattering the coalesced gradients
+    through its slots would update the wrong Storage rows.  An
+    ``AssertionError`` like ``HazardError``, since it reports a broken
+    pipeline invariant rather than bad input, and a ``RuntimeError`` like
+    the other state errors here.
+    """
 
 
 class ReplacementConfigError(ValueError):

@@ -148,8 +148,9 @@ class AdagradOptimizer:
                 state_dtype=self.state_dtype,
             )
         duplicated = duplicate_gradients(pooled_grad, ids.shape[1])
-        unique_ids, grads = coalesce_gradients(
-            ids.reshape(-1), duplicated.reshape(-1, pooled_grad.shape[1])
+        unique_ids, positions = np.unique(ids.reshape(-1), return_inverse=True)
+        grads = coalesce_gradients(
+            positions, duplicated.reshape(-1, pooled_grad.shape[1]), unique_ids.size
         )
         self._sparse[key].update(table.weights, unique_ids, grads)
         return unique_ids

@@ -9,6 +9,14 @@ Figure 2 of the paper decomposes embedding-layer training into:
   multiple times are summed) and **scatter** (the coalesced gradients update
   the table rows in place).
 
+Coalescing is keyed by position: each lookup names the index of its row in
+the batch's sorted unique IDs, not the row ID.  Finding the unique IDs and
+those positions is the unique step of Figure 2(b), and in ScratchPipe it
+belongs to the [Plan] stage, which has done it before [Train] runs
+(:meth:`repro.core.scratchpad.TablePlan.positions_for`).  Callers that hold
+only IDs take the step themselves with ``np.unique(ids,
+return_inverse=True)``.
+
 This module implements each primitive as a standalone, testable function and
 wraps table state in :class:`EmbeddingTable`.  Every system design in
 ``repro.systems`` routes its functional math through these primitives so that
@@ -81,28 +89,57 @@ def duplicate_gradients(pooled_grad: np.ndarray, lookups: int) -> np.ndarray:
 
 
 def coalesce_gradients(
-    ids: np.ndarray, grads: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum gradients of repeated row IDs (Figure 2(b), middle).
+    positions: np.ndarray, grads: np.ndarray, num_unique: int
+) -> np.ndarray:
+    """Sum the gradients of lookups that share a row (Figure 2(b), middle).
+
+    Coalescing is keyed by position: ``positions[i]`` is the index of
+    lookup ``i``'s row in the batch's sorted unique IDs.  Finding those
+    positions is the unique step, and it belongs to Plan.
+
+    Row ``p`` of the result is ``0 + g[i0] + g[i1] + ...`` over the lookups
+    at ``p`` in lookup order.  That is bit for bit what zeros plus
+    ``np.add.at(out, positions, grads)`` gives, signed zeros included.
+    Most rows have one lookup: those are one row gather plus ``0``.  Only
+    the lookups of repeated rows go through an ``np.add.at``, on the
+    flattened output, where numpy's 1-D fast path applies.
 
     Args:
-        ids: int array ``(n,)`` of row IDs (duplicates allowed).
-        grads: float32 array ``(n, dim)`` of per-lookup gradients.
+        positions: int array ``(n,)`` of positions in ``[0, num_unique)``.
+        grads: float array ``(n, dim)`` of per-lookup gradients.
+        num_unique: Rows in the result.
 
     Returns:
-        ``(unique_ids, coalesced)`` where ``unique_ids`` is sorted and
-        ``coalesced[i]`` is the sum of all gradients whose ID equals
-        ``unique_ids[i]``.
+        ``(num_unique, dim)`` coalesced gradients, ``grads.dtype``.
     """
-    ids = np.asarray(ids).reshape(-1)
-    if grads.shape[0] != ids.shape[0]:
+    positions = np.asarray(positions, dtype=np.intp).reshape(-1)
+    if grads.shape[0] != positions.shape[0]:
         raise ModelShapeError(
-            f"ids ({ids.shape[0]}) and grads ({grads.shape[0]}) length mismatch"
+            f"positions ({positions.shape[0]}) and grads ({grads.shape[0]}) "
+            "length mismatch"
         )
-    unique_ids, inverse = np.unique(ids, return_inverse=True)
-    coalesced = np.zeros((unique_ids.shape[0], grads.shape[1]), dtype=grads.dtype)
-    np.add.at(coalesced, inverse, grads)
-    return unique_ids, coalesced
+    counts = np.bincount(positions, minlength=num_unique)
+    if counts.shape != (num_unique,):
+        raise ModelShapeError(f"positions must lie in [0, {num_unique})")
+    dim = grads.shape[1]
+    if positions.size == 0:
+        return np.zeros((num_unique, dim), dtype=grads.dtype)
+    # Every row first gathers the gradient of one of its lookups: for a
+    # row looked up once, its only one.  ``+= 0`` turns -0.0 into +0.0, as
+    # ``0 + g`` does.  Other rows restart from zero below.
+    source = np.zeros(num_unique, dtype=np.intp)
+    source[positions] = np.arange(positions.size)
+    coalesced = np.take(grads, source, axis=0)
+    coalesced += 0
+    single = counts == 1
+    if not single.all():
+        coalesced[~single] = 0
+        repeated = ~single[positions]
+        flat = positions[repeated][:, None] * dim + np.arange(dim)
+        np.add.at(
+            coalesced.reshape(-1), flat.reshape(-1), grads[repeated].reshape(-1)
+        )
+    return coalesced
 
 
 def sgd_scatter(
@@ -179,8 +216,9 @@ class EmbeddingTable:
             which rows were touched (e.g. cache writeback bookkeeping).
         """
         duplicated = duplicate_gradients(pooled_grad, ids.shape[1])
-        unique_ids, coalesced = coalesce_gradients(
-            ids.reshape(-1), duplicated.reshape(-1, pooled_grad.shape[1])
+        unique_ids, positions = np.unique(ids.reshape(-1), return_inverse=True)
+        coalesced = coalesce_gradients(
+            positions, duplicated.reshape(-1, pooled_grad.shape[1]), unique_ids.size
         )
         sgd_scatter(self.weights, unique_ids, coalesced, lr)
         return unique_ids, coalesced

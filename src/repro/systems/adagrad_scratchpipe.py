@@ -37,6 +37,7 @@ from repro.model.adagrad import DenseAdagrad
 from repro.model.config import ModelConfig
 from repro.model.dlrm import DenseNetwork
 from repro.model.embedding import coalesce_gradients, duplicate_gradients
+from repro.systems.scratchpipe_system import plan_lookups
 
 
 def augment_tables(tables: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -59,7 +60,13 @@ def split_tables(augmented: Sequence[np.ndarray]) -> tuple:
 
 @dataclass
 class AdagradScratchPipeTrainer:
-    """[Train] callback performing row-wise Adagrad against augmented rows."""
+    """[Train] callback performing row-wise Adagrad against augmented rows.
+
+    Indexes through the Plan like
+    :class:`~repro.systems.scratchpipe_system.ScratchPipeTrainer`: one
+    Storage read of the plan's unique rows feeds both the forward gather
+    and the update.
+    """
 
     config: ModelConfig
     dense_network: DenseNetwork
@@ -85,27 +92,28 @@ class AdagradScratchPipeTrainer:
         cfg = self.config
         dim = cfg.embedding_dim
 
-        pooled_columns = []
-        for t in range(cfg.num_tables):
-            slots = plans[t].slots_for(batch.sparse_ids[t])
-            rows = scratchpads[t].read_slots(slots)
-            pooled_columns.append(rows[..., :dim].sum(axis=1))
-        pooled = np.stack(pooled_columns, axis=1)
+        lookups = [
+            plan_lookups(plans[t], scratchpads[t], batch.sparse_ids[t], t)
+            for t in range(cfg.num_tables)
+        ]
+        pooled = np.stack(
+            [rows[positions][..., :dim].sum(axis=1)
+             for positions, rows in lookups],
+            axis=1,
+        )
 
         self.dense_network.forward(batch.dense, pooled)
         loss = self.dense_network.loss(batch.labels)
         grad_pooled = self.dense_network.backward(batch.labels)
 
         lr32 = np.float32(self.lr)
-        for t in range(cfg.num_tables):
-            ids = batch.sparse_ids[t]
-            duplicated = duplicate_gradients(grad_pooled[:, t, :], ids.shape[1])
-            unique_ids, grads = coalesce_gradients(
-                ids.reshape(-1), duplicated.reshape(-1, dim)
+        # ``state`` is each table's unique rows as read for the forward
+        # pass: nothing writes a held slot in between.
+        for t, (positions, state) in enumerate(lookups):
+            duplicated = duplicate_gradients(grad_pooled[:, t, :], positions.shape[1])
+            grads = coalesce_gradients(
+                positions, duplicated.reshape(-1, dim), len(state)
             )
-            # coalesce returns sorted unique IDs == the plan's unique_ids.
-            slots = plans[t].slots
-            state = scratchpads[t].read_slots(slots)
             accumulator = state[:, dim]
             # Identical float32 expression order as SparseAdagrad with
             # state_dtype=float32 — bit-exact equivalence by construction.
@@ -117,7 +125,7 @@ class AdagradScratchPipeTrainer:
                 scale[:, None] * grads
             ).astype(np.float32)
             state[:, dim] = accumulator
-            scratchpads[t].write_slots(slots, state)
+            scratchpads[t].write_slots(plans[t].slots, state)
 
         self.dense_optimizer.step(self.dense_network.bottom_mlp)
         self.dense_optimizer.step(self.dense_network.top_mlp)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import SystemInputError
+from repro.errors import PlanMismatchError, SystemInputError
 from repro.api.registry import register_system
 from repro.api.specs import (
     CacheSpec,
@@ -425,13 +425,43 @@ class ScratchPipeSystem(TrainingSystem):
         return result
 
 
+def plan_lookups(
+    plan: TablePlan, scratchpad: GpuScratchpad, ids: np.ndarray, table: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Resolve one table's batch lookups through its plan, for [Train].
+
+    Returns ``(positions, rows)``: each lookup's position in the plan's
+    unique IDs (shape of ``ids``) and the plan's unique rows, read once
+    from Storage.  Pool with ``rows[positions]``, coalesce by
+    ``positions``, update ``rows`` and write them back through
+    ``plan.slots``.
+
+    Raises:
+        PlanCoverageError: the batch looks up an ID the plan does not cover.
+        PlanMismatchError: the plan covers an ID the batch never looks up,
+            so the plan belongs to another batch.
+    """
+    positions = plan.positions_for(ids)
+    counts = np.bincount(positions.reshape(-1), minlength=plan.num_unique)
+    if not counts.all():
+        raise PlanMismatchError(
+            f"plan/batch mismatch for table {table}: the plan covers "
+            f"{int(np.count_nonzero(counts == 0))} unique IDs the batch never "
+            "looks up — the plan does not belong to this batch"
+        )
+    return positions, scratchpad.read_slots(plan.slots)
+
+
 @dataclass
 class ScratchPipeTrainer:
     """Functional [Train] stage: embedding + dense training on the scratchpad.
 
-    Every gather and parameter update is served from Storage through the
-    slots the Plan stage assigned — if any ID were missing the mapping would
-    raise, so a completed run *is* the always-hit guarantee.
+    Train indexes everything through the Plan.  Each table's unique rows
+    are read from Storage once, through the slots Plan assigned; every
+    lookup gathers its row by its position among them, gradients coalesce
+    by position, and the updated rows go back through the same slots.  If
+    the plan missed any ID the position lookup would raise, so a completed
+    run *is* the always-hit guarantee.
     """
 
     config: ModelConfig
@@ -449,38 +479,28 @@ class ScratchPipeTrainer:
         if batch.dense is None or batch.labels is None:
             raise SystemInputError("functional training requires dense inputs/labels")
         cfg = self.config
-        slot_maps = []
-        pooled_columns = []
-        for t in range(cfg.num_tables):
-            slots = plans[t].slots_for(batch.sparse_ids[t])
-            slot_maps.append(slots)
-            rows = scratchpads[t].read_slots(slots)
-            pooled_columns.append(rows.sum(axis=1))
-        pooled = np.stack(pooled_columns, axis=1)
+        lookups = [
+            plan_lookups(plans[t], scratchpads[t], batch.sparse_ids[t], t)
+            for t in range(cfg.num_tables)
+        ]
+        pooled = np.stack(
+            [rows[positions].sum(axis=1) for positions, rows in lookups], axis=1
+        )
 
         self.dense_network.forward(batch.dense, pooled)
         loss = self.dense_network.loss(batch.labels)
         grad_pooled = self.dense_network.backward(batch.labels)
 
-        for t in range(cfg.num_tables):
-            ids = batch.sparse_ids[t]
-            duplicated = duplicate_gradients(grad_pooled[:, t, :], ids.shape[1])
-            unique_ids, grads = coalesce_gradients(
-                ids.reshape(-1), duplicated.reshape(-1, cfg.embedding_dim)
+        # Nothing writes a held slot between the reads above and the
+        # writes below, so ``rows`` is still what Storage holds.
+        for t, (positions, rows) in enumerate(lookups):
+            duplicated = duplicate_gradients(grad_pooled[:, t, :], positions.shape[1])
+            grads = coalesce_gradients(
+                positions, duplicated.reshape(-1, cfg.embedding_dim), len(rows)
             )
-            # The gradient scatter below indexes Storage through the plan's
-            # slots, so the coalesced IDs must be exactly the plan's
-            # unique_ids — a mismatched plan would silently scatter
-            # gradients into the wrong rows.
-            if not np.array_equal(unique_ids, plans[t].unique_ids):
-                raise AssertionError(
-                    f"plan/batch mismatch for table {t}: coalesced gradient "
-                    "IDs differ from the plan's unique_ids — the plan does "
-                    "not belong to this batch"
-                )
-            slots = plans[t].slots
-            updated = scratchpads[t].read_slots(slots) - self.optimizer.lr * grads
-            scratchpads[t].write_slots(slots, updated)
+            scratchpads[t].write_slots(
+                plans[t].slots, rows - self.optimizer.lr * grads
+            )
         self.dense_network.step(self.optimizer)
         self.losses.append(loss)
         return loss

@@ -243,8 +243,9 @@ class StaticCacheTrainer:
         for t in range(cfg.num_tables):
             ids = batch.sparse_ids[t]
             duplicated = duplicate_gradients(grad_pooled[:, t, :], ids.shape[1])
-            unique_ids, grads = coalesce_gradients(
-                ids.reshape(-1), duplicated.reshape(-1, cfg.embedding_dim)
+            unique_ids, positions = np.unique(ids.reshape(-1), return_inverse=True)
+            grads = coalesce_gradients(
+                positions, duplicated.reshape(-1, cfg.embedding_dim), unique_ids.size
             )
             hits = unique_ids < self.hot_rows
             self.optimizer.scatter(

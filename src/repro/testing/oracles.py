@@ -12,7 +12,9 @@ as drop-in objects a test injects in place of the production one:
 * :class:`PerCycleUniquePipeline` — Plan from the raw lookup arrays,
   ``np.unique``-ing them again at every cycle instead of reusing each
   batch's cached sorted-unique ID sets;
-* :class:`PerTokenTsvTraceSource` — the per-token TSV hashing loop.
+* :class:`PerTokenTsvTraceSource` — the per-token TSV hashing loop;
+* :func:`unique_add_at_coalesce` — gradient coalescing keyed by row ID:
+  ``np.unique`` and a 2-D ``np.add.at``.
 
 Production modules never import this one (the ``oracle-isolation`` lint
 rule enforces it); only tests and benchmarks do.
@@ -53,6 +55,7 @@ __all__ = [
     "ScanLruPolicy",
     "ScanRandomPolicy",
     "make_scan_policy",
+    "unique_add_at_coalesce",
     "use_scan_policies",
 ]
 
@@ -220,6 +223,21 @@ class PerCycleUniquePipeline(ScratchPipePipeline):
         if future_batches:
             future_ids = np.concatenate([b.table_ids(table) for b in future_batches])
         return self.scratchpads[table].plan_batch(batch.sparse_ids[table], future_ids)
+
+
+# ----------------------------------------------------------------------
+# Gradient coalescing
+# ----------------------------------------------------------------------
+def unique_add_at_coalesce(
+    ids: np.ndarray, grads: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sorted unique IDs, coalesced grads)``: ``np.unique`` the IDs, then
+    sum each lookup's gradient into its row with a 2-D ``np.add.at``."""
+    ids = np.asarray(ids).reshape(-1)
+    unique_ids, inverse = np.unique(ids, return_inverse=True)
+    coalesced = np.zeros((unique_ids.shape[0], grads.shape[1]), dtype=grads.dtype)
+    np.add.at(coalesced, inverse, grads)
+    return unique_ids, coalesced
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.core.scratchpad import (
     required_slots,
     worst_case_storage_bytes,
 )
+from repro.errors import PlanCoverageError
 from repro.model.config import ModelConfig, tiny_config
 
 
@@ -91,25 +92,36 @@ class TestPlanBatch:
 
 
 class TestTablePlanSlotsFor:
+    """``slots_for`` and the ``positions_for`` it indexes ``slots`` by."""
+
     def test_maps_repeated_ids(self):
         pad = make_pad()
         plan = pad.plan_batch(np.array([4, 2, 4]))
-        slots = plan.slots_for(np.array([[4, 4], [2, 2]]))
+        ids = np.array([[4, 4], [2, 2]])
+        slots = plan.slots_for(ids)
         assert slots.shape == (2, 2)
         assert slots[0, 0] == slots[0, 1]
         assert slots[0, 0] != slots[1, 0]
+        positions = plan.positions_for(ids)
+        assert positions.shape == (2, 2)
+        assert positions[0, 0] == positions[0, 1]
+        assert positions[0, 0] != positions[1, 0]
+        assert np.array_equal(plan.unique_ids[positions], ids)
+        assert np.array_equal(plan.slots[positions], slots)
 
     def test_uncovered_id_raises(self):
         pad = make_pad()
         plan = pad.plan_batch(np.array([4, 2]))
-        with pytest.raises(KeyError):
-            plan.slots_for(np.array([3]))
+        for lookup in (plan.slots_for, plan.positions_for):
+            with pytest.raises(PlanCoverageError):
+                lookup(np.array([3]))
 
     def test_id_beyond_plan_range_raises(self):
         pad = make_pad()
         plan = pad.plan_batch(np.array([4, 2]))
-        with pytest.raises(KeyError):
-            plan.slots_for(np.array([99]))
+        for lookup in (plan.slots_for, plan.positions_for):
+            with pytest.raises(PlanCoverageError):
+                lookup(np.array([99]))
 
 
 class TestStorage:

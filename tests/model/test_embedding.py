@@ -71,7 +71,8 @@ class TestCoalesce:
     def test_unique_ids_sorted(self, rng):
         ids = np.array([5, 1, 5, 3])
         grads = rng.standard_normal((4, 2)).astype(np.float32)
-        unique, out = coalesce_gradients(ids, grads)
+        unique, positions = np.unique(ids, return_inverse=True)
+        out = coalesce_gradients(positions, grads, unique.size)
         assert np.array_equal(unique, [1, 3, 5])
         assert out.shape == (3, 2)
 
@@ -80,7 +81,8 @@ class TestCoalesce:
         ids = np.array([0, 4, 0, 2, 5])
         grads = np.ones((5, 2), dtype=np.float32)
         grads[2:] *= 2.0  # second sample's gradient
-        unique, out = coalesce_gradients(ids, grads)
+        unique, positions = np.unique(ids, return_inverse=True)
+        out = coalesce_gradients(positions, grads, unique.size)
         assert np.array_equal(unique, [0, 2, 4, 5])
         assert np.array_equal(out[0], [3.0, 3.0])  # 1 + 2
         assert np.array_equal(out[2], [1.0, 1.0])
@@ -88,12 +90,13 @@ class TestCoalesce:
     def test_mass_conserved(self, rng):
         ids = rng.integers(0, 10, size=50)
         grads = rng.standard_normal((50, 3)).astype(np.float32)
-        _, out = coalesce_gradients(ids, grads)
+        unique, positions = np.unique(ids, return_inverse=True)
+        out = coalesce_gradients(positions, grads, unique.size)
         assert np.allclose(out.sum(axis=0), grads.sum(axis=0), atol=1e-5)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            coalesce_gradients(np.array([1, 2]), np.zeros((3, 2), np.float32))
+            coalesce_gradients(np.array([1, 2]), np.zeros((3, 2), np.float32), 3)
 
 
 class TestScatter:

@@ -48,6 +48,39 @@ class TestTrainerValidation:
             AdagradScratchPipeTrainer(config=cfg, dense_network=dense, lr=0.0)
 
 
+class TestTrainerPlanInvariant:
+    def test_mismatched_plan_raises(self):
+        """Twin of the SGD trainer's check: a plan covering IDs the batch
+        never looks up fails by name, before any row is written."""
+        from repro.core.scratchpad import GpuScratchpad
+        from repro.data.trace import MiniBatch
+        from repro.errors import PlanMismatchError
+
+        cfg = tiny_config(rows_per_table=50, batch_size=2,
+                          lookups_per_table=2, num_tables=1)
+        pad = GpuScratchpad(num_slots=32, num_rows=cfg.rows_per_table,
+                            dim=cfg.embedding_dim + 1, with_storage=True)
+        plan = pad.plan_batch(np.array([1, 2, 3, 4]))
+        pad.storage[:] = 1.0
+        batch = MiniBatch(
+            index=0,
+            sparse_ids=np.array([[[1, 2], [1, 2]]], dtype=np.int64),
+            dense=np.zeros((2, cfg.num_dense_features), dtype=np.float32),
+            labels=np.zeros(2, dtype=np.float32),
+        )
+        trainer = AdagradScratchPipeTrainer(
+            config=cfg,
+            dense_network=DenseNetwork.initialise(
+                cfg, np.random.default_rng(0)
+            ),
+        )
+        with pytest.raises(PlanMismatchError,
+                           match="plan/batch mismatch for table 0"):
+            trainer.train(batch, [plan], [pad])
+        assert np.all(pad.storage == 1.0)
+        assert trainer.losses == []
+
+
 class TestEquivalence:
     def _reference(self, cfg, dataset, seed, lr):
         model = DLRMModel.initialise(

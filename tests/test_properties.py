@@ -128,8 +128,9 @@ class TestGradientProperties:
         pooled = rng.standard_normal((batch, dim)).astype(np.float32)
         ids = rng.integers(0, 8, size=(batch, lookups))
         duplicated = duplicate_gradients(pooled, lookups)
-        unique, coalesced = coalesce_gradients(
-            ids.reshape(-1), duplicated.reshape(-1, dim)
+        unique, positions = np.unique(ids.reshape(-1), return_inverse=True)
+        coalesced = coalesce_gradients(
+            positions, duplicated.reshape(-1, dim), unique.size
         )
         # Total gradient mass is conserved by coalescing.
         assert np.allclose(
