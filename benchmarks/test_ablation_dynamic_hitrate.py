@@ -14,8 +14,8 @@ import numpy as np
 
 from conftest import run_once
 from repro.analysis.report import banner, format_table
+from repro.api import build_system, uniform_system_spec
 from repro.data.datasets import LOCALITY_CLASSES, locality_distribution
-from repro.systems.scratchpipe_system import ScratchPipeSystem
 
 CACHE_FRACTION = 0.02
 WARMUP = 8
@@ -34,8 +34,9 @@ def test_dynamic_vs_static_hit_rate(benchmark, setup):
                 unique = np.unique(batch.sparse_ids.reshape(-1))
                 static_unique.append(float((unique < hot_rows).mean()))
             # Dynamic LRU (ScratchPipe Plan stage), also unique-ID based.
-            system = ScratchPipeSystem(
-                setup.config, setup.hardware, CACHE_FRACTION
+            system = build_system(
+                uniform_system_spec("scratchpipe", CACHE_FRACTION),
+                setup.config, setup.hardware,
             )
             stats = system.simulate_cache(trace)
             dynamic = float(np.mean([s.hit_rate for s in stats[WARMUP:]]))

@@ -12,10 +12,10 @@ import numpy as np
 
 from conftest import run_once
 from repro.analysis.report import banner, format_table
+from repro.api import build_system, uniform_system_spec
 from repro.data.distributions import UniformDistribution, ZipfDistribution
 from repro.data.trace import MaterialisedDataset, SyntheticDataset
 from repro.model.config import ModelConfig
-from repro.systems.scratchpipe_system import ScratchPipeSystem
 
 #: Per-table exponents: two hot (Criteo-like), one medium, one cold.
 TABLE_EXPONENTS = (0.95, 0.90, 0.65, None)  # None = uniform
@@ -43,7 +43,10 @@ def test_heterogeneous_tables(benchmark, setup):
             seed=1,
             num_batches=setup.num_batches,
         ))
-        system = ScratchPipeSystem(config, setup.hardware, 0.02)
+        system = build_system(
+            uniform_system_spec("scratchpipe", 0.02),
+            config, setup.hardware,
+        )
         stats = system.simulate_cache(dataset)
         per_table = np.array([s.per_table_misses for s in stats[WARMUP:]])
         return per_table.mean(axis=0)

@@ -10,12 +10,9 @@ ScratchPipe.
 
 from conftest import run_once
 from repro.analysis.report import banner, format_table
+from repro.api import build_system, uniform_system_spec
 from repro.data.trace import MaterialisedDataset, make_dataset
-from repro.systems.multigpu_scratchpipe import (
-    MultiGpuScratchPipeSystem,
-    tco_comparison,
-)
-from repro.systems.scratchpipe_system import ScratchPipeSystem
+from repro.systems.multigpu_scratchpipe import tco_comparison
 
 GPU_COUNTS = (1, 2, 4, 8)
 WARMUP = 8
@@ -30,12 +27,14 @@ def test_ablation_multigpu_scratchpipe(benchmark, setup):
             make_dataset(setup.config, "high", seed=0,
                          num_batches=setup.num_batches)
         )
-        single = ScratchPipeSystem(
-            setup.config, setup.hardware, 0.02
+        single = build_system(
+            uniform_system_spec("scratchpipe", 0.02),
+            setup.config, setup.hardware,
         ).run_trace(trace).mean_latency(WARMUP)
         multi = {
-            g: MultiGpuScratchPipeSystem(
-                setup.config, setup.hardware, 0.02, num_gpus=g
+            g: build_system(
+                uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=g),
+                setup.config, setup.hardware,
             ).run_trace(trace).mean_latency(WARMUP)
             for g in GPU_COUNTS
         }

@@ -144,7 +144,7 @@ def _time_fast_path(
         ),
         cfg, DEFAULT_HARDWARE,
     )
-    assert system.num_slots == scale["slots"]
+    assert system.table_slots == (scale["slots"],) * cfg.num_tables
     start = time.perf_counter()
     stats = system.simulate_cache(trace, monitor=HazardMonitor(strict=True))
     elapsed = time.perf_counter() - start

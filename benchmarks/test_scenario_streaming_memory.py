@@ -28,10 +28,10 @@ LARGE_BATCHES = (
 
 _CHILD = """
 import resource, sys
+from repro.api import build_system, uniform_system_spec
 from repro.data.scenarios import DriftSpec, ScenarioSpec, build_scenario
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import tiny_config
-from repro.systems.scratchpipe_system import ScratchPipeSystem
 
 num_batches = int(sys.argv[1])
 cfg = tiny_config(
@@ -39,7 +39,10 @@ cfg = tiny_config(
 )
 spec = ScenarioSpec(locality="high", drift=DriftSpec(rate=2.0))
 source = build_scenario(cfg, spec, seed=0, num_batches=num_batches)
-system = ScratchPipeSystem(cfg, DEFAULT_HARDWARE, 0.05)
+system = build_system(
+    uniform_system_spec("scratchpipe", 0.05),
+    cfg, DEFAULT_HARDWARE,
+)
 totals = system.aggregate_cache_stats(source)
 assert totals.batches == num_batches, totals.batches
 assert totals.unique_ids > 0

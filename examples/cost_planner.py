@@ -15,9 +15,10 @@ import argparse
 
 from repro import ExperimentSetup, ModelConfig
 from repro.analysis import format_table
+from repro.api import build_system, uniform_system_spec
 from repro.analysis.cost import cost_saving, multi_gpu_row, scratchpipe_row
 from repro.data import LOCALITY_CLASSES
-from repro.systems import MultiGpuSystem, ScratchPipeSystem
+from repro.systems import MultiGpuSystem
 
 WARMUP = 8
 
@@ -47,8 +48,9 @@ def main() -> None:
     savings = []
     for locality in LOCALITY_CLASSES:
         trace = setup.trace(locality)
-        sp_latency = ScratchPipeSystem(
-            config, setup.hardware, args.cache
+        sp_latency = build_system(
+            uniform_system_spec("scratchpipe", args.cache),
+            config, setup.hardware,
         ).run_trace(trace).mean_latency(WARMUP)
         mg_latency = MultiGpuSystem(
             config, setup.hardware, num_gpus=args.gpus

@@ -11,8 +11,8 @@ Run:  python examples/pipeline_timeline.py [--locality random]
 import argparse
 
 from repro import ExperimentSetup
+from repro.api import build_system, uniform_system_spec
 from repro.core.timeline import PipelineTimeline, render_ascii, schedule
-from repro.systems import ScratchPipeSystem
 from repro.systems.stages import cache_stage_times
 
 CACHE_FRACTION = 0.02
@@ -25,7 +25,10 @@ def main() -> None:
     args = parser.parse_args()
 
     setup = ExperimentSetup(num_batches=14)
-    system = ScratchPipeSystem(setup.config, setup.hardware, CACHE_FRACTION)
+    system = build_system(
+        uniform_system_spec("scratchpipe", CACHE_FRACTION),
+        setup.config, setup.hardware,
+    )
     trace = setup.trace(args.locality)
     stats = system.simulate_cache(trace)
 

@@ -12,13 +12,9 @@ Run:  python examples/system_comparison.py          (takes ~1 minute)
 
 from repro import ExperimentSetup
 from repro.analysis import format_table
+from repro.api import build_system, uniform_system_spec
 from repro.data import LOCALITY_CLASSES
-from repro.systems import (
-    HybridSystem,
-    ScratchPipeSystem,
-    StaticCacheSystem,
-    StrawmanSystem,
-)
+from repro.systems import HybridSystem
 
 CACHE_FRACTION = 0.02
 WARMUP = 8
@@ -36,9 +32,18 @@ def main() -> None:
     for locality in LOCALITY_CLASSES:
         trace = setup.trace(locality)
         hybrid = HybridSystem(config, hardware).run_trace(trace)
-        static = StaticCacheSystem(config, hardware, CACHE_FRACTION).run_trace(trace)
-        strawman = StrawmanSystem(config, hardware, CACHE_FRACTION).run_trace(trace)
-        scratchpipe = ScratchPipeSystem(config, hardware, CACHE_FRACTION).run_trace(trace)
+        static = build_system(
+            uniform_system_spec("static_cache", CACHE_FRACTION),
+            config, hardware,
+        ).run_trace(trace)
+        strawman = build_system(
+            uniform_system_spec("strawman", CACHE_FRACTION),
+            config, hardware,
+        ).run_trace(trace)
+        scratchpipe = build_system(
+            uniform_system_spec("scratchpipe", CACHE_FRACTION),
+            config, hardware,
+        ).run_trace(trace)
 
         static_ms = static.mean_latency(0) * 1e3
         sp_ms = scratchpipe.mean_latency(WARMUP) * 1e3

@@ -223,8 +223,8 @@ class SweepPoint:
             heterogeneous per-table cache path and plugin systems ride the
             existing spec-shipping dispatch for free — and ``system`` must
             equal ``system_spec.system``.  When absent, a uniform spec is
-            synthesized from ``(system, cache_fraction, policy_name)``,
-            bit-identical to the legacy construction.
+            synthesized from ``(system, cache_fraction, policy_name)``
+            by :func:`~repro.api.specs.uniform_system_spec`.
         trace_file: Optional :class:`~repro.data.io.TraceFileSpec`
             replaying a real trace file instead of a synthetic one.  The
             spec (not the trace) crosses the process boundary; ``locality``

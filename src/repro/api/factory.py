@@ -4,10 +4,10 @@ Every figure, sweep grid, CLI command and example constructs systems by
 handing a :class:`~repro.api.specs.SystemSpec` (or a registered name, or
 the CLI's name-or-JSON string) to :func:`build_system`.  The factory
 resolves the registered class and delegates to its
-``from_spec(spec, config, hardware)`` constructor, so a uniform spec
-builds a system bit-identical to the legacy positional constructor it
-replaces, and a heterogeneous per-table cache spec flows through the same
-door.
+``from_spec(spec, config, hardware)`` constructor.  Uniform caches
+(:func:`~repro.api.specs.uniform_system_spec`) and heterogeneous
+per-table caches flow through the same door; the cached designs'
+constructors take nothing but ``(config, hardware, *, spec=...)``.
 """
 
 from __future__ import annotations

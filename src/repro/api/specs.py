@@ -71,9 +71,8 @@ class CacheSpec:
 
     Attributes:
         fraction: Cache size as a fraction of ``rows_per_table`` in
-            ``(0, 1]`` (the legacy ``cache_fraction``); resolved per table
-            as ``max(1, int(fraction * rows_per_table))`` — bit-identical
-            to the positional constructors.
+            ``(0, 1]``; resolved per table as
+            ``max(1, int(fraction * rows_per_table))``.
         slots: Absolute slot count (>= 1) instead of a fraction.
         policy: Registered replacement-policy name (``"lru"``/``"lfu"``/
             ``"random"`` plus plugins).
@@ -507,12 +506,12 @@ def uniform_system_spec(
     future_window: int = 2,
     num_gpus: int = 1,
 ) -> SystemSpec:
-    """Synthesize the spec a legacy positional constructor describes.
+    """A spec with one cache fraction and policy shared by every table.
 
     ``cache_fraction=None`` yields a cache-less spec (hybrid baselines).
-    This is the shim the deprecated positional constructors and the
-    spec-less ``SweepPoint`` fields funnel through, so legacy call sites
-    and spec-driven ones construct byte-identical systems.
+    Hand the result to :func:`~repro.api.build_system`; the spec-less
+    ``SweepPoint`` fields funnel through here too, so a sweep point and a
+    direct build of the same fields construct byte-identical systems.
     """
     cache = None
     if cache_fraction is not None:

@@ -49,6 +49,7 @@ from repro.errors import (
     ExecutorConfigError,
     ExecutorUnavailableError,
     ExecutorWorkerError,
+    HazardError,
 )
 from repro.testing.faults import fault_point
 
@@ -230,7 +231,7 @@ def _planner_worker(pipeline, shard_index: int, tables, num_batches: int, queue)
     goes through the pipeline's own plan+monitor step at the cycle the
     serial loop would run it (``index + 1``).
     """
-    from repro.core.pipeline import HazardError, plan_counters
+    from repro.core.pipeline import plan_counters
 
     try:
         monitor = pipeline.monitor
@@ -369,7 +370,7 @@ class _PlanReceiver:
         Non-strict violations join the parent's monitor in table order;
         a strict hazard is re-raised here, where a serial run raises it.
         """
-        from repro.core.pipeline import BatchCacheStats, HazardError
+        from repro.core.pipeline import BatchCacheStats
         from repro.core.scratchpad import TablePlan
 
         pipeline = self._pipeline

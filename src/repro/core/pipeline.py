@@ -20,7 +20,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence,
 
 import numpy as np
 
-from repro.errors import ExecutorConfigError, PipelineConfigError
+from repro.errors import (
+    ExecutorConfigError,
+    HazardError,
+    MonitorCycleError,
+    PipelineConfigError,
+)
 from repro.core.executor import make_executor, registered_executors
 from repro.core.hitmap import EMPTY
 from repro.core.scratchpad import GpuScratchpad, TablePlan
@@ -144,22 +149,11 @@ def plan_counters(plan: TablePlan) -> Tuple[int, int, int, int]:
     return (plan.num_unique, plan.num_hits, plan.num_misses, plan.num_writebacks)
 
 
-class HazardError(AssertionError):
-    """Raised by :class:`HazardMonitor` on a detected RAW violation."""
-
-
 #: "No write pending" sentinel for the vectorised pending-cycle arrays;
 #: any real write cycle compares greater.  Cycle counts fit int32 with room
 #: to spare, and halving the element width halves the random-access traffic
-#: on these (row-count-sized) arrays.
+#: on these (slot-count-sized) arrays.
 _NO_WRITE = np.iinfo(np.int32).min
-
-#: RAW-4 bookkeeping stays a dense per-row cycle array up to this many
-#: rows (32 MB of int32 per table); beyond it the table migrates to the
-#: compact write-back ring.  Dense gathers win handily while the array
-#: fits cache-adjacent memory; the ring caps memory at paper-scale row
-#: universes where a dense array per table would dominate the footprint.
-_DENSE_WRITEBACK_ROWS = 1 << 23
 
 
 @dataclass
@@ -172,24 +166,21 @@ class HazardMonitor:
     against them.  ``strict=True`` raises :class:`HazardError` immediately;
     otherwise violations accumulate in :attr:`violations`.
 
-    The default implementation keeps one int32 numpy array per table
-    recording the cycle at which the last scheduled write to each *slot*
-    lands (a check is a fancy-indexed comparison against the reading
-    cycle; retirement is lazy — a recorded cycle in the past never
-    compares as pending again).  The CPU-row write-backs of RAW-4 get
-    the same dense treatment while the table's row IDs stay below
-    ``_DENSE_WRITEBACK_ROWS`` — a gather over a few-MB array beats any
-    per-entry probing at that size.  The first larger row ID migrates
-    that table, permanently, to a compact ring of ``(insert_cycle,
-    sorted dirty rows)`` entries: only the plans of the last
-    ``PLAN_TO_INSERT - PLAN_TO_COLLECT`` cycles can have a write-back
-    still in flight, so the ring holds a handful of small sorted arrays
-    and the check is a few ``searchsorted`` membership probes over the
-    miss IDs — no 40 MB-per-table allocation at the paper's 10M-row
-    scale.  The ring relies on the pipeline's contract that per-table
-    ``on_plan`` cycles are non-decreasing (each table is planned once
-    per cycle, in cycle order), which lets retired entries be pruned as
-    soon as they fall behind the reading cycle.  Per-element dict
+    RAW-2/3 state is one int32 array per table recording the cycle at
+    which the last scheduled write to each *slot* lands (a check is a
+    fancy-indexed comparison against the reading cycle; retirement is
+    lazy — a recorded cycle in the past never compares as pending again).
+    It is sized by the scratchpad, never by the table's row universe.
+
+    RAW-4 state is a ring of ``(insert_cycle, sorted dirty rows)``
+    entries per table: only the plans of the last ``PLAN_TO_INSERT -
+    PLAN_TO_COLLECT`` cycles can have a write-back still in flight, so the
+    ring holds a handful of small sorted arrays and the check is a few
+    ``searchsorted`` membership probes over the miss IDs.  Entries are
+    pruned as soon as they land before the reading cycle, which is sound
+    only because per-table ``on_plan`` cycles never decrease (each table
+    is planned once per cycle, in cycle order); a call that breaks that
+    contract raises :class:`MonitorCycleError`.  Per-element dict
     bookkeeping is the equivalence-test oracle
     ``repro.testing.oracles.ScanHazardMonitor``; both flag identical
     violations in identical order.
@@ -197,15 +188,14 @@ class HazardMonitor:
 
     strict: bool = True
     violations: List[str] = field(default_factory=list)
-    # Vectorised state: table -> int32 pending-write cycle per slot and
-    # per row (small row universes), and table -> ring of (insert_cycle,
-    # sorted dirty row IDs) entries for the in-flight CPU write-backs of
-    # tables migrated past ``_DENSE_WRITEBACK_ROWS``.
+    # table -> int32 pending-write cycle per slot; table -> ring of
+    # (insert_cycle, sorted dirty row IDs) in-flight CPU write-backs;
+    # table -> cycle of its latest plan.
     _slot_write_cycles: Dict[int, np.ndarray] = field(default_factory=dict)
-    _writeback_cycles: Dict[int, np.ndarray] = field(default_factory=dict)
     _recent_writebacks: Dict[int, List[Tuple[int, np.ndarray]]] = field(
         default_factory=dict
     )
+    _last_cycle: Dict[int, int] = field(default_factory=dict)
 
     def _flag(self, message: str) -> None:
         self.violations.append(message)
@@ -225,31 +215,15 @@ class HazardMonitor:
             store[table] = array = grown
         return array
 
-    def _migrate_writebacks(
-        self, table: int, collect_cycle: int
-    ) -> List[Tuple[int, np.ndarray]]:
-        """Convert a table's dense RAW-4 state into ring entries.
-
-        Runs once, on the first row ID at or past
-        ``_DENSE_WRITEBACK_ROWS``; only write-backs still in flight
-        (landing at or after ``collect_cycle``) are carried over.
-        ``flatnonzero`` yields ascending rows, so each group is already
-        the sorted array the ring's probes require, and ascending cycle
-        order preserves the freshest-write-wins probe sequence.
-        """
-        dense = self._writeback_cycles.pop(table, None)
-        entries: List[Tuple[int, np.ndarray]] = []
-        if dense is not None:
-            live = np.flatnonzero(dense >= collect_cycle)
-            live_cycles = dense[live]
-            for cycle in np.unique(live_cycles):
-                entries.append(
-                    (int(cycle), live[live_cycles == cycle].astype(np.int64))
-                )
-        return entries
-
     def on_plan(self, cycle: int, table: int, plan: TablePlan) -> None:
         """Validate and register one table-plan produced at ``cycle``."""
+        if cycle < self._last_cycle.get(table, cycle):
+            raise MonitorCycleError(
+                f"table {table} planned at cycle {cycle} after a plan at "
+                f"cycle {self._last_cycle[table]}; per-table on_plan cycles "
+                f"must not decrease"
+            )
+        self._last_cycle[table] = cycle
         collect_cycle = cycle + PLAN_TO_COLLECT
         insert_cycle = cycle + PLAN_TO_INSERT
         train_cycle = cycle + PLAN_TO_TRAIN
@@ -275,49 +249,28 @@ class HazardMonitor:
                 )
 
         # RAW-4: a missed ID read from the CPU table at [Collect] must not
-        # have a write-back landing at or after the read.
-        max_row = int(max(miss_ids.max(initial=-1), evicted.max(initial=-1)))
-        if table not in self._recent_writebacks and (
-            max_row < _DENSE_WRITEBACK_ROWS
-        ):
-            row_writes = (
-                self._grown(self._writeback_cycles, table, max_row + 1)
-                if max_row >= 0
-                else None
-            )
-            if miss_ids.size:
-                pending = row_writes[miss_ids]
-                for i in np.flatnonzero(pending >= collect_cycle):
-                    self._flag(
-                        f"RAW-4: row {int(miss_ids[i])} of table {table} read "
-                        f"from the CPU table at cycle {collect_cycle} while its "
-                        f"write-back lands at cycle {int(pending[i])}"
-                    )
-        else:
-            # Ring mode: entries whose write-back lands before this plan's
-            # [Collect] can never flag again (per-table cycles are
-            # non-decreasing), so they are pruned; survivors are probed
-            # oldest-first so the freshest write-back wins, matching the
-            # dense array's last-scatter semantics.
-            entries = self._recent_writebacks.get(table)
-            if entries is None:
-                entries = self._migrate_writebacks(table, collect_cycle)
-            row_writes = None
-            live = [entry for entry in entries if entry[0] >= collect_cycle]
-            self._recent_writebacks[table] = entries = live
-            if entries and miss_ids.size:
-                pending = np.full(miss_ids.size, _NO_WRITE, dtype=np.int64)
-                for insert_at, rows in entries:
-                    positions = np.minimum(
-                        np.searchsorted(rows, miss_ids), rows.size - 1
-                    )
-                    pending[rows[positions] == miss_ids] = insert_at
-                for i in np.flatnonzero(pending >= collect_cycle):
-                    self._flag(
-                        f"RAW-4: row {int(miss_ids[i])} of table {table} read "
-                        f"from the CPU table at cycle {collect_cycle} while its "
-                        f"write-back lands at cycle {int(pending[i])}"
-                    )
+        # have a write-back landing at or after the read.  Entries landing
+        # before this [Collect] can never flag again, so they are pruned;
+        # survivors are probed oldest-first so the freshest write-back of
+        # a row wins.
+        entries = [
+            entry for entry in self._recent_writebacks.get(table, ())
+            if entry[0] >= collect_cycle
+        ]
+        self._recent_writebacks[table] = entries
+        if entries and miss_ids.size:
+            pending = np.full(miss_ids.size, _NO_WRITE, dtype=np.int64)
+            for insert_at, rows in entries:
+                positions = np.minimum(
+                    np.searchsorted(rows, miss_ids), rows.size - 1
+                )
+                pending[rows[positions] == miss_ids] = insert_at
+            for i in np.flatnonzero(pending >= collect_cycle):
+                self._flag(
+                    f"RAW-4: row {int(miss_ids[i])} of table {table} read "
+                    f"from the CPU table at cycle {collect_cycle} while its "
+                    f"write-back lands at cycle {int(pending[i])}"
+                )
 
         # Register this batch's future writes.  Every planned slot ends at
         # the [Train] write cycle: fill slots' earlier [Insert] writes are
@@ -332,12 +285,7 @@ class HazardMonitor:
             dirty = evicted[: fill_slots.size]
             dirty = dirty[dirty != EMPTY]
             if dirty.size:
-                if row_writes is not None:
-                    row_writes[dirty] = insert_cycle
-                else:
-                    self._recent_writebacks.setdefault(table, []).append(
-                        (insert_cycle, np.sort(dirty))
-                    )
+                entries.append((insert_cycle, np.sort(dirty)))
 
     def on_cycle_end(self, cycle: int) -> None:
         """Retire writes that have now happened.

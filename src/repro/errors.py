@@ -35,6 +35,8 @@ __all__ = [
     "ExecutorConfigError",
     "ExecutorUnavailableError",
     "ExecutorWorkerError",
+    "HazardError",
+    "MonitorCycleError",
     "ScratchpadConfigError",
     "ScratchpadStateError",
     "PlanCoverageError",
@@ -125,6 +127,26 @@ class ExecutorUnavailableError(RuntimeError):
 
 class ExecutorWorkerError(RuntimeError):
     """A Plan-ahead worker process died or broke the message protocol."""
+
+
+class HazardError(AssertionError, RuntimeError):
+    """A strict hazard monitor saw a RAW violation between in-flight
+    mini-batches (a slot or CPU row read while a write to it is pending).
+
+    An ``AssertionError`` because it reports a broken pipeline invariant
+    rather than bad input, and a ``RuntimeError`` like the other state
+    errors here.
+    """
+
+
+class MonitorCycleError(AssertionError, RuntimeError):
+    """A hazard monitor was shown a table's plan at a cycle earlier than
+    that table's previous plan.
+
+    The monitor prunes write-backs that landed before the latest plan's
+    [Collect]; a plan from an earlier cycle could race one of them
+    unseen, so the call is refused instead of silently under-checked.
+    """
 
 
 class ScratchpadConfigError(ValueError):

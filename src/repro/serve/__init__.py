@@ -9,12 +9,14 @@ as the ``serve`` subcommand.
 
 Quickstart::
 
-    from repro import ScratchPipeSystem, make_dataset, tiny_config
+    from repro import DEFAULT_HARDWARE, make_dataset, tiny_config
+    from repro.api import build_system, uniform_system_spec
     from repro.serve import ArrivalSpec, ServeSpec, format_serve_report, replay
 
     cfg = tiny_config()
     trace = make_dataset(cfg, "medium", seed=0, num_batches=64)
-    system = ScratchPipeSystem(cfg, DEFAULT_HARDWARE, cache_fraction=0.05)
+    spec = uniform_system_spec("scratchpipe", cache_fraction=0.3)
+    system = build_system(spec, cfg, DEFAULT_HARDWARE)
     report = replay(system, trace, ServeSpec(arrivals=ArrivalSpec(rate=400.0)))
     print(format_serve_report(report))
 """

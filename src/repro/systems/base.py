@@ -207,7 +207,8 @@ class TrainingSystem:
         self.cost = CostModel(hardware=hardware, config=config)
         self.energy_model = EnergyModel(hardware=hardware)
         #: The ``repro.api.SystemSpec`` this instance was built from, or
-        #: ``None`` for legacy positional construction.
+        #: ``None`` for a cache-less baseline constructed directly from
+        #: ``(config, hardware)``.
         self.spec = None
 
     @classmethod

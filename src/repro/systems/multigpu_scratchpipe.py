@@ -48,7 +48,6 @@ _STAGE_OFFSETS = {PLAN: 1, COLLECT: 2, EXCHANGE: 3, INSERT: 4, TRAIN: 5}
 
 from repro.api.registry import register_system
 from repro.api.specs import InvalidSystemSpecError, SystemSpec
-from repro.systems.scratchpipe_system import _legacy_shim_spec
 
 
 @register_system(
@@ -63,26 +62,9 @@ class MultiGpuScratchPipeSystem(TrainingSystem):
     name = "multi_gpu_scratchpipe"
 
     def __init__(
-        self,
-        config: ModelConfig,
-        hardware,
-        cache_fraction: "float | None" = None,
-        num_gpus: int = 2,
-        policy_name: str = "lru",
-        future_window: int = 2,
-        *,
-        spec: "SystemSpec | None" = None,
+        self, config: ModelConfig, hardware, *, spec: SystemSpec
     ) -> None:
         super().__init__(config, hardware)
-        if spec is None:
-            spec = _legacy_shim_spec(
-                self.name, cache_fraction, policy_name, future_window,
-                num_gpus=num_gpus,
-            )
-        elif cache_fraction is not None:
-            raise TypeError(
-                "pass either a spec or positional cache parameters, not both"
-            )
         if spec.cache is None:
             raise InvalidSystemSpecError(f"{self.name} requires a cache spec")
         num_gpus = spec.num_gpus
@@ -95,9 +77,6 @@ class MultiGpuScratchPipeSystem(TrainingSystem):
             )
         self.spec = spec
         self.num_gpus = num_gpus
-        self.cache_fraction = (
-            spec.cache.fraction if spec.cache.is_uniform else None
-        )
         self.future_window = spec.pipeline.future_window
         # Cache behaviour per table is unchanged — reuse the single-GPU
         # simulator for hit/miss/victim statistics (heterogeneous per-table

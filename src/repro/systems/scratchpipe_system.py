@@ -14,7 +14,6 @@ array — the paper's "training at GPU memory speed".
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -22,12 +21,7 @@ import numpy as np
 
 from repro.errors import PlanMismatchError, SystemInputError
 from repro.api.registry import register_system
-from repro.api.specs import (
-    CacheSpec,
-    InvalidSystemSpecError,
-    PipelineSpec,
-    SystemSpec,
-)
+from repro.api.specs import InvalidSystemSpecError, SystemSpec
 from repro.core.pipeline import (
     PRICED_STAGE_OFFSETS,
     BatchCacheStats,
@@ -48,9 +42,6 @@ from repro.model.embedding import coalesce_gradients, duplicate_gradients
 from repro.model.optimizer import SGD
 from repro.systems.base import IterationBreakdown, SystemRunResult, TrainingSystem
 from repro.systems.stages import CACHE_STAGES, cache_stage_times
-
-#: Back-compat alias — the offsets now live in ``repro.core.pipeline``.
-_STAGE_OFFSETS = PRICED_STAGE_OFFSETS
 
 
 def _pipelined_cycle_times(
@@ -73,15 +64,15 @@ def _pipelined_cycle_times(
     num_batches = len(stage_times)
     if num_batches == 0:
         return []
-    stages = tuple(_STAGE_OFFSETS)
+    stages = tuple(PRICED_STAGE_OFFSETS)
     times = np.array(
         [[st[stage] for stage in stages] for st in stage_times], dtype=np.float64
     )
-    train_offset = _STAGE_OFFSETS["train"]
+    train_offset = PRICED_STAGE_OFFSETS["train"]
     last_cycle = num_batches - 1 + train_offset
     shifted = np.full((last_cycle + 1, len(stages)), -np.inf)
     for column, stage in enumerate(stages):
-        offset = _STAGE_OFFSETS[stage]
+        offset = PRICED_STAGE_OFFSETS[stage]
         shifted[offset : offset + num_batches, column] = times[:, column]
     occupied = shifted != -np.inf
     cycle_times = shifted.max(axis=1) + sync
@@ -188,32 +179,6 @@ class AggregateCacheStats:
                 self.per_table_misses = tuple(stats.per_table_misses)
 
 
-def _legacy_shim_spec(
-    system_name: str,
-    cache_fraction: Optional[float],
-    policy_name: str,
-    future_window: int,
-    num_gpus: int = 1,
-) -> SystemSpec:
-    """Synthesize the uniform spec a deprecated positional call describes."""
-    warnings.warn(
-        f"positional {system_name} construction is deprecated; build "
-        "through repro.api.build_system(SystemSpec(...)) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if cache_fraction is None:
-        raise TypeError(
-            f"{system_name} needs either cache_fraction or spec="
-        )
-    return SystemSpec(
-        system=system_name,
-        cache=CacheSpec(fraction=cache_fraction, policy=policy_name),
-        pipeline=PipelineSpec(future_window=future_window),
-        num_gpus=num_gpus,
-    )
-
-
 @register_system(
     "scratchpipe",
     requires_cache=True,
@@ -223,37 +188,21 @@ def _legacy_shim_spec(
 class ScratchPipeSystem(TrainingSystem):
     """Timing model of the pipelined ScratchPipe design point.
 
-    Spec-based construction (``build_system`` / ``spec=``) is the primary
-    path and enables heterogeneous per-table caches: each table's
+    Built from a :class:`~repro.api.specs.SystemSpec`, normally through
+    ``repro.api.build_system`` (which also enforces the hazard-window
+    floor); uniform caches come from
+    :func:`~repro.api.specs.uniform_system_spec`.  Each table's
     Hit-Map/Hold-mask/policy triple is sized independently from the
-    resolved :class:`~repro.api.specs.CacheSpec`, and per-table statistics
-    roll up through :class:`AggregateCacheStats`.  The positional
-    ``(config, hardware, cache_fraction, ...)`` form survives as a
-    deprecation-warned shim that synthesizes the equivalent uniform spec —
-    bit-identical outputs.
+    resolved :class:`~repro.api.specs.CacheSpec`, and per-table
+    statistics roll up through :class:`AggregateCacheStats`.
     """
 
     name = "scratchpipe"
 
     def __init__(
-        self,
-        config: ModelConfig,
-        hardware,
-        cache_fraction: Optional[float] = None,
-        policy_name: str = "lru",
-        future_window: int = 2,
-        *,
-        spec: Optional[SystemSpec] = None,
+        self, config: ModelConfig, hardware, *, spec: SystemSpec
     ) -> None:
         super().__init__(config, hardware)
-        if spec is None:
-            spec = _legacy_shim_spec(
-                self.name, cache_fraction, policy_name, future_window
-            )
-        elif cache_fraction is not None:
-            raise TypeError(
-                "pass either a spec or positional cache parameters, not both"
-            )
         if spec.system != self.name:
             raise InvalidSystemSpecError(
                 f"spec names system {spec.system!r} but is being built as "
@@ -269,14 +218,6 @@ class ScratchPipeSystem(TrainingSystem):
         #: one value; the heterogeneous path sizes each independently).
         self.table_slots: Tuple[int, ...] = tuple(r.slots for r in resolved)
         self.table_policies: Tuple[str, ...] = tuple(r.policy for r in resolved)
-        #: Legacy uniform attributes: the shared fraction/policy where the
-        #: spec is uniform, else ``None``/the default entry and the largest
-        #: per-table capacity.
-        self.cache_fraction = (
-            spec.cache.fraction if spec.cache.is_uniform else None
-        )
-        self.num_slots = max(self.table_slots)
-        self.policy_name = spec.cache.policy
         self.future_window = spec.pipeline.future_window
         self.executor = spec.pipeline.executor
         self._scratchpads: Optional[List[GpuScratchpad]] = None

@@ -23,7 +23,6 @@ from repro.model.config import ModelConfig
 from repro.model.dlrm import DenseNetwork
 from repro.model.embedding import coalesce_gradients, duplicate_gradients
 from repro.model.optimizer import SGD
-from repro.systems.scratchpipe_system import _legacy_shim_spec
 from repro.systems.base import (
     CPU_EMB_BACKWARD,
     CPU_EMB_FORWARD,
@@ -105,20 +104,9 @@ class StaticCacheSystem(TrainingSystem):
     name = "static_cache"
 
     def __init__(
-        self,
-        config: ModelConfig,
-        hardware,
-        cache_fraction: Optional[float] = None,
-        *,
-        spec: Optional[SystemSpec] = None,
+        self, config: ModelConfig, hardware, *, spec: SystemSpec
     ) -> None:
         super().__init__(config, hardware)
-        if spec is None:
-            spec = _legacy_shim_spec(self.name, cache_fraction, "lru", 2)
-        elif cache_fraction is not None:
-            raise TypeError(
-                "pass either a spec or positional cache parameters, not both"
-            )
         if spec.cache is None:
             raise InvalidSystemSpecError(f"{self.name} requires a cache spec")
         self.spec = spec
@@ -126,9 +114,6 @@ class StaticCacheSystem(TrainingSystem):
         #: Per-table pinned-row budgets (replacement policy does not apply
         #: to a never-evicting static cache and is ignored).
         self.table_hot_rows: Tuple[int, ...] = tuple(r.slots for r in resolved)
-        self.cache_fraction = (
-            spec.cache.fraction if spec.cache.is_uniform else None
-        )
         self.hot_rows: Union[int, Tuple[int, ...]] = (
             self.table_hot_rows[0] if spec.cache.is_uniform
             else self.table_hot_rows

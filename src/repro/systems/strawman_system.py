@@ -15,7 +15,6 @@ from repro.core.scratchpad import GpuScratchpad, hazard_floor_slots
 from repro.core.strawman import StrawmanCache, make_strawman_scratchpads
 from repro.model.config import ModelConfig
 from repro.systems.base import IterationBreakdown, SystemRunResult, TrainingSystem
-from repro.systems.scratchpipe_system import _legacy_shim_spec
 from repro.systems.stages import cache_stage_times
 
 
@@ -30,34 +29,15 @@ class StrawmanSystem(TrainingSystem):
     name = "strawman"
 
     def __init__(
-        self,
-        config: ModelConfig,
-        hardware,
-        cache_fraction: Optional[float] = None,
-        policy_name: str = "lru",
-        *,
-        spec: Optional[SystemSpec] = None,
+        self, config: ModelConfig, hardware, *, spec: SystemSpec
     ) -> None:
         super().__init__(config, hardware)
-        if spec is None:
-            spec = _legacy_shim_spec(
-                self.name, cache_fraction, policy_name, future_window=2
-            )
-        elif cache_fraction is not None:
-            raise TypeError(
-                "pass either a spec or positional cache parameters, not both"
-            )
         if spec.cache is None:
             raise InvalidSystemSpecError(f"{self.name} requires a cache spec")
         self.spec = spec
         resolved = spec.cache.resolve(config.num_tables, config.rows_per_table)
         self.table_slots: Tuple[int, ...] = tuple(r.slots for r in resolved)
         self.table_policies: Tuple[str, ...] = tuple(r.policy for r in resolved)
-        self.cache_fraction = (
-            spec.cache.fraction if spec.cache.is_uniform else None
-        )
-        self.num_slots = max(self.table_slots)
-        self.policy_name = spec.cache.policy
         self._scratchpads = None
 
     @classmethod

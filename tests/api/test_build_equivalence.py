@@ -1,30 +1,27 @@
-"""build_system(uniform spec) must be bit-identical to the legacy
-positional constructors, for every registered builtin system.
+"""``build_system`` is the one door to every registered builtin system.
 
-Hypothesis property test over random uniform specs (the acceptance
-criterion), plus targeted equivalence runs per system and the
-heterogeneous path's internal consistency.
+Hypothesis property tests pin a uniform cache spec to the same cache
+spelled out as one override per table (the two ways ``CacheSpec``
+resolves a table), the cache-less baselines to their plain
+``(config, hardware)`` constructors, plus the heterogeneous path's
+internal consistency.
 """
 
-import warnings
+from dataclasses import replace
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
+import pytest
 
-from repro.api import CacheSpec, PipelineSpec, SystemSpec, build_system
+from repro.api import (
+    CacheSpec,
+    SystemSpec,
+    build_system,
+    uniform_system_spec,
+)
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import tiny_config
-from repro.systems import (
-    HybridSystem,
-    MultiGpuSystem,
-    OverlappedHybridSystem,
-    ScratchPipeSystem,
-    StaticCacheSystem,
-    StrawmanSystem,
-)
-from repro.systems.multigpu_scratchpipe import MultiGpuScratchPipeSystem
+from repro.systems import HybridSystem, MultiGpuSystem, OverlappedHybridSystem
 
 CFG = tiny_config(
     rows_per_table=4000, batch_size=8, lookups_per_table=3, num_tables=2
@@ -41,10 +38,17 @@ def results_equal(a, b):
     return True
 
 
-def legacy(cls, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return cls(CFG, DEFAULT_HARDWARE, *args, **kwargs)
+def uniform_equals_per_table(spec):
+    """Run ``spec`` and the same cache written out per table; both must
+    produce bit-identical results."""
+    rest = spec.cache
+    spelled_out = replace(spec, cache=replace(rest, tables={
+        table: CacheSpec(fraction=rest.fraction, policy=rest.policy)
+        for table in range(CFG.num_tables)
+    }))
+    uniform = build_system(spec, CFG, DEFAULT_HARDWARE).run_trace(TRACE)
+    per_table = build_system(spelled_out, CFG, DEFAULT_HARDWARE).run_trace(TRACE)
+    return results_equal(uniform, per_table)
 
 
 uniform_params = st.fixed_dictionaries({
@@ -58,42 +62,24 @@ class TestUniformSpecEquivalence:
     @settings(max_examples=12, deadline=None)
     @given(params=uniform_params)
     def test_scratchpipe_bit_identical(self, params):
-        spec = SystemSpec(
-            system="scratchpipe",
-            cache=CacheSpec(fraction=params["fraction"],
-                            policy=params["policy"]),
-            pipeline=PipelineSpec(future_window=params["future_window"]),
-        )
-        via_spec = build_system(spec, CFG, DEFAULT_HARDWARE).run_trace(TRACE)
-        via_legacy = legacy(
-            ScratchPipeSystem, params["fraction"],
-            policy_name=params["policy"],
+        assert uniform_equals_per_table(uniform_system_spec(
+            "scratchpipe", params["fraction"], policy=params["policy"],
             future_window=params["future_window"],
-        ).run_trace(TRACE)
-        assert results_equal(via_spec, via_legacy)
+        ))
 
     @settings(max_examples=8, deadline=None)
     @given(params=uniform_params)
     def test_strawman_bit_identical(self, params):
-        spec = SystemSpec(
-            system="strawman",
-            cache=CacheSpec(fraction=params["fraction"],
-                            policy=params["policy"]),
-        )
-        via_spec = build_system(spec, CFG, DEFAULT_HARDWARE).run_trace(TRACE)
-        via_legacy = legacy(
-            StrawmanSystem, params["fraction"], policy_name=params["policy"]
-        ).run_trace(TRACE)
-        assert results_equal(via_spec, via_legacy)
+        assert uniform_equals_per_table(uniform_system_spec(
+            "strawman", params["fraction"], policy=params["policy"]
+        ))
 
     @settings(max_examples=8, deadline=None)
     @given(fraction=st.sampled_from([0.05, 0.11, 0.4, 1.0]))
     def test_static_cache_bit_identical(self, fraction):
-        spec = SystemSpec(system="static_cache",
-                          cache=CacheSpec(fraction=fraction))
-        via_spec = build_system(spec, CFG, DEFAULT_HARDWARE).run_trace(TRACE)
-        via_legacy = legacy(StaticCacheSystem, fraction).run_trace(TRACE)
-        assert results_equal(via_spec, via_legacy)
+        assert uniform_equals_per_table(
+            uniform_system_spec("static_cache", fraction)
+        )
 
     def test_hybrid_bit_identical(self):
         via_spec = build_system("hybrid", CFG, DEFAULT_HARDWARE).run_trace(TRACE)
@@ -114,48 +100,16 @@ class TestUniformSpecEquivalence:
     def test_multi_gpu_bit_identical(self, num_gpus):
         spec = SystemSpec(system="multi_gpu", num_gpus=num_gpus)
         via_spec = build_system(spec, CFG, DEFAULT_HARDWARE).run_trace(TRACE)
-        via_legacy = MultiGpuSystem(
+        via_direct = MultiGpuSystem(
             CFG, DEFAULT_HARDWARE, num_gpus=num_gpus
         ).run_trace(TRACE)
-        assert results_equal(via_spec, via_legacy)
+        assert results_equal(via_spec, via_direct)
 
     @pytest.mark.parametrize("num_gpus", [1, 2])
     def test_multi_gpu_scratchpipe_bit_identical(self, num_gpus):
-        spec = SystemSpec(
-            system="multi_gpu_scratchpipe",
-            cache=CacheSpec(fraction=0.1),
-            num_gpus=num_gpus,
-        )
-        via_spec = build_system(spec, CFG, DEFAULT_HARDWARE).run_trace(TRACE)
-        via_legacy = legacy(
-            MultiGpuScratchPipeSystem, 0.1, num_gpus=num_gpus
-        ).run_trace(TRACE)
-        assert results_equal(via_spec, via_legacy)
-
-
-class TestDeprecationShims:
-    def test_legacy_constructor_warns(self, tiny_cfg, hardware):
-        with pytest.warns(DeprecationWarning, match="build_system"):
-            ScratchPipeSystem(tiny_cfg, hardware, 0.05)
-
-    def test_legacy_constructor_synthesizes_uniform_spec(self, tiny_cfg,
-                                                         hardware):
-        with pytest.warns(DeprecationWarning):
-            system = ScratchPipeSystem(tiny_cfg, hardware, 0.05,
-                                       policy_name="lfu", future_window=1)
-        assert system.spec == SystemSpec(
-            system="scratchpipe",
-            cache=CacheSpec(fraction=0.05, policy="lfu"),
-            pipeline=PipelineSpec(future_window=1),
-        )
-
-    def test_spec_construction_does_not_warn(self, tiny_cfg, hardware):
-        # 0.3 clears the hazard-window floor at tiny geometry (0.256).
-        spec = SystemSpec(system="scratchpipe",
-                          cache=CacheSpec(fraction=0.3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_system(spec, tiny_cfg, hardware)
+        assert uniform_equals_per_table(uniform_system_spec(
+            "multi_gpu_scratchpipe", 0.1, num_gpus=num_gpus
+        ))
 
 
 class TestHeterogeneousPath:

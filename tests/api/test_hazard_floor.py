@@ -79,12 +79,13 @@ class TestBuildTimeRejection:
         spec = SystemSpec(system="scratchpipe",
                           cache=CacheSpec(slots=PAPER_FLOOR))
         system = build_system(spec, PAPER, DEFAULT_HARDWARE)
-        assert system.num_slots == PAPER_FLOOR
+        assert system.table_slots == (PAPER_FLOOR,) * PAPER.num_tables
 
     def test_paper_default_two_percent_passes(self):
         spec = SystemSpec(system="scratchpipe",
                           cache=CacheSpec(fraction=0.02))
-        assert build_system(spec, PAPER, DEFAULT_HARDWARE).num_slots == 200000
+        system = build_system(spec, PAPER, DEFAULT_HARDWARE)
+        assert system.table_slots == (200000,) * PAPER.num_tables
 
     def test_hazard_safe_hetero_split_passes(self):
         spec = SystemSpec(
@@ -102,9 +103,8 @@ class TestBuildTimeRejection:
             cache=CacheSpec(fraction=0.01),
             scratchpad=ScratchpadSpec(past_window=1),
         )
-        assert (
-            build_system(shallow, PAPER, DEFAULT_HARDWARE).num_slots == 100000
-        )
+        system = build_system(shallow, PAPER, DEFAULT_HARDWARE)
+        assert system.table_slots == (100000,) * PAPER.num_tables
 
     def test_error_is_a_value_error_subclass(self):
         spec = SystemSpec(system="scratchpipe",

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import (
     CacheSpec,
     InvalidSystemSpecError,
+    build_system,
     PipelineSpec,
     ScratchpadSpec,
     SystemSpec,
@@ -127,45 +128,52 @@ class TestOtherSpecValidation:
 
 
 class TestUpFrontSystemValidation:
-    """Regression: the legacy constructors validated cache_fraction but let
-    a bad policy_name/future_window fail deep in construction; the spec
-    shim now fails them immediately with named errors."""
+    """Regression: a bad policy/future_window/fraction fails when the spec
+    is built, with a named error, never deep inside system construction;
+    the cached systems take no positional cache parameters at all."""
 
     def test_scratchpipe_bad_policy_up_front(self, tiny_cfg, hardware):
-        from repro.systems import ScratchPipeSystem
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(InvalidSystemSpecError, match="unknown policy"):
-                ScratchPipeSystem(tiny_cfg, hardware, 0.05, policy_name="mru")
+        with pytest.raises(InvalidSystemSpecError, match="unknown policy"):
+            build_system(
+                uniform_system_spec("scratchpipe", 0.05, policy="mru"),
+                tiny_cfg, hardware,
+            )
 
     def test_scratchpipe_bad_future_window_up_front(self, tiny_cfg, hardware):
-        from repro.systems import ScratchPipeSystem
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(InvalidSystemSpecError, match="future_window"):
-                ScratchPipeSystem(tiny_cfg, hardware, 0.05, future_window=-2)
+        with pytest.raises(InvalidSystemSpecError, match="future_window"):
+            build_system(
+                uniform_system_spec("scratchpipe", 0.05, future_window=-2),
+                tiny_cfg, hardware,
+            )
 
     def test_scratchpipe_bad_fraction_still_valueerror(self, tiny_cfg, hardware):
-        from repro.systems import ScratchPipeSystem
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="cache_fraction"):
-                ScratchPipeSystem(tiny_cfg, hardware, 1.5)
+        with pytest.raises(ValueError, match="cache_fraction"):
+            build_system(
+                uniform_system_spec("scratchpipe", 1.5), tiny_cfg, hardware
+            )
 
     def test_strawman_bad_policy_up_front(self, tiny_cfg, hardware):
-        from repro.systems import StrawmanSystem
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(InvalidSystemSpecError, match="unknown policy"):
-                StrawmanSystem(tiny_cfg, hardware, 0.05, policy_name="fifo")
+        with pytest.raises(InvalidSystemSpecError, match="unknown policy"):
+            build_system(
+                uniform_system_spec("strawman", 0.05, policy="fifo"),
+                tiny_cfg, hardware,
+            )
 
     def test_spec_and_positional_args_conflict(self, tiny_cfg, hardware):
-        from repro.systems import ScratchPipeSystem
+        from repro.systems import (
+            MultiGpuScratchPipeSystem,
+            ScratchPipeSystem,
+            StaticCacheSystem,
+            StrawmanSystem,
+        )
 
-        spec = SystemSpec(system="scratchpipe",
-                          cache=CacheSpec(fraction=0.05))
-        with pytest.raises(TypeError, match="not both"):
-            ScratchPipeSystem(tiny_cfg, hardware, 0.05, spec=spec)
+        for cls in (ScratchPipeSystem, StrawmanSystem, StaticCacheSystem,
+                    MultiGpuScratchPipeSystem):
+            spec = SystemSpec(system=cls.name, cache=CacheSpec(fraction=0.05))
+            with pytest.raises(TypeError):
+                cls(tiny_cfg, hardware, 0.05, spec=spec)
+            with pytest.raises(TypeError):
+                cls(tiny_cfg, hardware, 0.05)
 
 
 # ----------------------------------------------------------------------

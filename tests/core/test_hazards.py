@@ -143,9 +143,10 @@ class TestMonitorMechanics:
         assert not monitor._pending_writebacks
 
     def test_vectorised_retirement_is_lazy(self):
-        # The vectorised monitor never prunes; a write cycle in the past
-        # simply stops comparing as pending, so a later plan touching the
-        # same slot/row is clean.
+        # The vectorised monitor needs no on_cycle_end: a slot write cycle
+        # in the past simply stops comparing as pending, and a landed
+        # write-back drops out of the ring at the next plan, so a later
+        # plan touching the same slot/row is clean.
         monitor = HazardMonitor(strict=True)
         monitor.on_plan(cycle=1, table=0, plan=self._one_slot_plan())
         monitor.on_cycle_end(10)  # no-op

@@ -7,11 +7,10 @@ import pytest
 from repro.core.hitmap import EMPTY, HitMap
 from repro.core.holdmask import HoldMask
 from repro.core.pipeline import HazardMonitor
+from repro.api import build_system, uniform_system_spec
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import tiny_config
-from repro.systems.scratchpipe_system import ScratchPipeSystem
-from repro.systems.strawman_system import StrawmanSystem
 
 
 @pytest.fixture
@@ -64,13 +63,15 @@ class TestSystemReuse:
         trace = MaterialisedDataset(
             make_dataset(cfg, "medium", seed=4, num_batches=16)
         )
-        fresh = ScratchPipeSystem(
-            cfg, DEFAULT_HARDWARE, cache_fraction=0.1, policy_name=policy
+        fresh = build_system(
+            uniform_system_spec("scratchpipe", 0.1, policy=policy),
+            cfg, DEFAULT_HARDWARE,
         )
         reference = _stats_tuples(fresh.simulate_cache(trace))
 
-        reused = ScratchPipeSystem(
-            cfg, DEFAULT_HARDWARE, cache_fraction=0.1, policy_name=policy
+        reused = build_system(
+            uniform_system_spec("scratchpipe", 0.1, policy=policy),
+            cfg, DEFAULT_HARDWARE,
         )
         first = _stats_tuples(
             reused.simulate_cache(trace, monitor=HazardMonitor(strict=True))
@@ -94,7 +95,10 @@ class TestSystemReuse:
         trace = MaterialisedDataset(
             make_dataset(cfg, "medium", seed=4, num_batches=12)
         )
-        system = ScratchPipeSystem(cfg, DEFAULT_HARDWARE, cache_fraction=0.1)
+        system = build_system(
+            uniform_system_spec("scratchpipe", 0.1),
+            cfg, DEFAULT_HARDWARE,
+        )
         for _ in range(3):
             system.run_trace(trace)
         assert len(constructions) == cfg.num_tables
@@ -103,7 +107,10 @@ class TestSystemReuse:
         trace = MaterialisedDataset(
             make_dataset(cfg, "medium", seed=9, num_batches=12)
         )
-        system = StrawmanSystem(cfg, DEFAULT_HARDWARE, cache_fraction=0.2)
+        system = build_system(
+            uniform_system_spec("strawman", 0.2),
+            cfg, DEFAULT_HARDWARE,
+        )
         first = system.run_trace(trace).iteration_times
         second = system.run_trace(trace).iteration_times
         assert first == second

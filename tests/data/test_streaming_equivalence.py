@@ -151,25 +151,31 @@ class TestPipelineStreaming:
         assert [s.batch_index for s in streamed] == list(range(12))
 
     def test_system_stream_equals_simulate(self, cfg):
-        from repro.systems.scratchpipe_system import ScratchPipeSystem
+        from repro.api import build_system, uniform_system_spec
         from repro.hardware.spec import DEFAULT_HARDWARE
 
         source = build_scenario(
             cfg, SCENARIO_PRESETS["churn"], seed=5, num_batches=10
         )
-        system = ScratchPipeSystem(cfg, DEFAULT_HARDWARE, 0.5)
+        system = build_system(
+            uniform_system_spec("scratchpipe", 0.5),
+            cfg, DEFAULT_HARDWARE,
+        )
         collected = system.simulate_cache(source)
         streamed = list(system.stream_cache_stats(source))
         assert streamed == collected
 
     def test_aggregate_matches_collected(self, cfg):
-        from repro.systems.scratchpipe_system import ScratchPipeSystem
+        from repro.api import build_system, uniform_system_spec
         from repro.hardware.spec import DEFAULT_HARDWARE
 
         source = build_scenario(
             cfg, SCENARIO_PRESETS["slow-drift"], seed=5, num_batches=10
         )
-        system = ScratchPipeSystem(cfg, DEFAULT_HARDWARE, 0.5)
+        system = build_system(
+            uniform_system_spec("scratchpipe", 0.5),
+            cfg, DEFAULT_HARDWARE,
+        )
         stats = system.simulate_cache(source)
         totals = system.aggregate_cache_stats(source, warmup=2)
         steady = [s for s in stats if s.batch_index >= 2]

@@ -259,9 +259,9 @@ class TestSeekWindow:
         """
         from repro.api.registry import system_entries
         from repro.api.specs import PipelineSpec
-        from repro.systems.scratchpipe_system import _STAGE_OFFSETS
+        from repro.core.pipeline import PRICED_STAGE_OFFSETS
 
-        pipeline_depth = max(_STAGE_OFFSETS.values()) + 1
+        pipeline_depth = max(PRICED_STAGE_OFFSETS.values()) + 1
         default_future = PipelineSpec().future_window
         for entry in system_entries():
             future = default_future

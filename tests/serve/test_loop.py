@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import build_system, uniform_system_spec
 from repro.data.trace import make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import tiny_config
@@ -14,8 +15,6 @@ from repro.serve import (
 )
 from repro.serve.loop import SERVE_STAGES
 from repro.systems.base import InsufficientSteadyStateError
-from repro.systems.scratchpipe_system import ScratchPipeSystem
-from repro.systems.strawman_system import StrawmanSystem
 
 
 @pytest.fixture
@@ -26,7 +25,10 @@ def cfg():
 
 @pytest.fixture
 def system(cfg):
-    return ScratchPipeSystem(cfg, DEFAULT_HARDWARE, 0.2)
+    return build_system(
+        uniform_system_spec("scratchpipe", 0.2),
+        cfg, DEFAULT_HARDWARE,
+    )
 
 
 @pytest.fixture
@@ -84,7 +86,10 @@ class TestReplayBasics:
             replay(system, trace, warmup=-1)
 
     def test_non_streaming_system_is_a_type_error(self, cfg, trace):
-        sequential = StrawmanSystem(cfg, DEFAULT_HARDWARE, 0.2)
+        sequential = build_system(
+            uniform_system_spec("strawman", 0.2),
+            cfg, DEFAULT_HARDWARE,
+        )
         with pytest.raises(TypeError, match="stream cache statistics"):
             replay(sequential, trace)
 

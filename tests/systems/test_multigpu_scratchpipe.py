@@ -4,14 +4,11 @@ import dataclasses
 
 import pytest
 
+from repro.api import build_system, uniform_system_spec
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import ModelConfig, tiny_config
-from repro.systems.multigpu_scratchpipe import (
-    MultiGpuScratchPipeSystem,
-    tco_comparison,
-)
-from repro.systems.scratchpipe_system import ScratchPipeSystem
+from repro.systems.multigpu_scratchpipe import tco_comparison
 
 
 @pytest.fixture(scope="module")
@@ -25,21 +22,30 @@ def trace():
 class TestConstruction:
     def test_gpu_count_validated(self):
         with pytest.raises(ValueError):
-            MultiGpuScratchPipeSystem(ModelConfig(), DEFAULT_HARDWARE, 0.02,
-                                      num_gpus=0)
+            build_system(
+                uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=0),
+                ModelConfig(), DEFAULT_HARDWARE,
+            )
 
     def test_gpu_count_must_divide_tables(self):
         with pytest.raises(ValueError, match="divide"):
-            MultiGpuScratchPipeSystem(ModelConfig(), DEFAULT_HARDWARE, 0.02,
-                                      num_gpus=3)
+            build_system(
+                uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=3),
+                ModelConfig(), DEFAULT_HARDWARE,
+            )
 
 
 class TestScaling:
     def test_one_gpu_close_to_single_gpu_design(self, trace):
         config = ModelConfig()
-        single = ScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02)
-        multi1 = MultiGpuScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02,
-                                           num_gpus=1)
+        single = build_system(
+            uniform_system_spec("scratchpipe", 0.02),
+            config, DEFAULT_HARDWARE,
+        )
+        multi1 = build_system(
+            uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=1),
+            config, DEFAULT_HARDWARE,
+        )
         a = single.run_trace(trace).mean_latency(8)
         b = multi1.run_trace(trace).mean_latency(8)
         # Same design modulo the (empty) collective terms.
@@ -47,10 +53,14 @@ class TestScaling:
 
     def test_more_gpus_somewhat_faster(self, trace):
         config = ModelConfig()
-        two = MultiGpuScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02,
-                                        num_gpus=2)
-        eight = MultiGpuScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02,
-                                          num_gpus=8)
+        two = build_system(
+            uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=2),
+            config, DEFAULT_HARDWARE,
+        )
+        eight = build_system(
+            uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=8),
+            config, DEFAULT_HARDWARE,
+        )
         assert (
             eight.run_trace(trace).mean_latency(8)
             <= two.run_trace(trace).mean_latency(8)
@@ -60,9 +70,14 @@ class TestScaling:
         # Section VI-G's prediction: multi-GPU ScratchPipe underutilises the
         # extra GPUs (CPU memory and the dense network do not scale).
         config = ModelConfig()
-        single = ScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02)
-        eight = MultiGpuScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02,
-                                          num_gpus=8)
+        single = build_system(
+            uniform_system_spec("scratchpipe", 0.02),
+            config, DEFAULT_HARDWARE,
+        )
+        eight = build_system(
+            uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=8),
+            config, DEFAULT_HARDWARE,
+        )
         s = single.run_trace(trace).mean_latency(8)
         m = eight.run_trace(trace).mean_latency(8)
         out = tco_comparison(s, m, num_gpus=8)
@@ -86,8 +101,10 @@ class TestTcoComparison:
 class TestStageStructure:
     def test_breakdowns_cover_all_stages(self, trace):
         config = ModelConfig()
-        system = MultiGpuScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02,
-                                           num_gpus=4)
+        system = build_system(
+            uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=4),
+            config, DEFAULT_HARDWARE,
+        )
         result = system.run_trace(trace)
         stages = result.stage_means(warmup=8)
         assert set(stages) == {"plan", "collect", "exchange", "insert",
@@ -97,20 +114,28 @@ class TestStageStructure:
         """DDR4 is shared: Collect stays constant as GPUs are added —
         the structural reason multi-GPU ScratchPipe scales poorly."""
         config = ModelConfig()
-        two = MultiGpuScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02,
-                                        num_gpus=2).run_trace(trace)
-        eight = MultiGpuScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02,
-                                          num_gpus=8).run_trace(trace)
+        two = build_system(
+            uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=2),
+            config, DEFAULT_HARDWARE,
+        ).run_trace(trace)
+        eight = build_system(
+            uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=8),
+            config, DEFAULT_HARDWARE,
+        ).run_trace(trace)
         collect_2 = two.stage_means(warmup=8)["collect"]
         collect_8 = eight.stage_means(warmup=8)["collect"]
         assert collect_8 == pytest.approx(collect_2, rel=0.02)
 
     def test_train_shrinks_with_gpus(self, trace):
         config = ModelConfig()
-        two = MultiGpuScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02,
-                                        num_gpus=2).run_trace(trace)
-        eight = MultiGpuScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02,
-                                          num_gpus=8).run_trace(trace)
+        two = build_system(
+            uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=2),
+            config, DEFAULT_HARDWARE,
+        ).run_trace(trace)
+        eight = build_system(
+            uniform_system_spec("multi_gpu_scratchpipe", 0.02, num_gpus=8),
+            config, DEFAULT_HARDWARE,
+        ).run_trace(trace)
         assert (
             eight.stage_means(warmup=8)["train"]
             < two.stage_means(warmup=8)["train"]

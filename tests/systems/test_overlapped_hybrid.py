@@ -7,13 +7,13 @@ while ScratchPipe's relocation of the embedding work wins several-fold.
 
 import pytest
 
+from repro.api import build_system, uniform_system_spec
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import ModelConfig
 from repro.systems.base import batch_access_stats
 from repro.systems.hybrid import HybridSystem
 from repro.systems.overlapped_hybrid import OverlappedHybridSystem
-from repro.systems.scratchpipe_system import ScratchPipeSystem
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,10 @@ class TestOverlappedHybrid:
         """Relocation beats scheduling: ScratchPipe outruns the overlapped
         hybrid severalfold."""
         overlapped = OverlappedHybridSystem(config, DEFAULT_HARDWARE).run_trace(trace)
-        scratchpipe = ScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02).run_trace(trace)
+        scratchpipe = build_system(
+            uniform_system_spec("scratchpipe", 0.02),
+            config, DEFAULT_HARDWARE,
+        ).run_trace(trace)
         ratio = overlapped.mean_latency(0) / scratchpipe.mean_latency(8)
         assert ratio > 2.5
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.api import build_system, uniform_system_spec
 from repro.data.trace import make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import ModelConfig, tiny_config
-from repro.systems.scratchpipe_system import ScratchPipeSystem, make_scratchpads
+from repro.systems.scratchpipe_system import make_scratchpads
 from repro.systems.stages import CACHE_STAGES
-from repro.systems.strawman_system import StrawmanSystem
 
 
 @pytest.fixture
@@ -20,7 +20,10 @@ def cfg():
 class TestConstruction:
     def test_fraction_validated(self):
         with pytest.raises(ValueError):
-            ScratchPipeSystem(ModelConfig(), DEFAULT_HARDWARE, 0.0)
+            build_system(
+                uniform_system_spec("scratchpipe", 0.0),
+                ModelConfig(), DEFAULT_HARDWARE,
+            )
 
     def test_make_scratchpads(self, cfg):
         pads = make_scratchpads(cfg, 16)
@@ -30,7 +33,10 @@ class TestConstruction:
 
 class TestTiming:
     def test_stage_means_cover_pipeline(self, cfg):
-        system = ScratchPipeSystem(cfg, DEFAULT_HARDWARE, 0.2)
+        system = build_system(
+            uniform_system_spec("scratchpipe", 0.2),
+            cfg, DEFAULT_HARDWARE,
+        )
         dataset = make_dataset(cfg, "medium", seed=1, num_batches=16)
         result = system.run_trace(dataset)
         means = result.stage_means(warmup=8)
@@ -41,7 +47,10 @@ class TestTiming:
         # slowest stage, not the sum of all stages.  (Needs full-scale stage
         # latencies — at toy scale the per-cycle sync overhead dominates.)
         config = ModelConfig()
-        system = ScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02)
+        system = build_system(
+            uniform_system_spec("scratchpipe", 0.02),
+            config, DEFAULT_HARDWARE,
+        )
         dataset = make_dataset(config, "medium", seed=1, num_batches=12)
         result = system.run_trace(dataset)
         stage_sum = result.breakdowns[-1].total
@@ -53,8 +62,14 @@ class TestTiming:
         from repro.data.trace import MaterialisedDataset
 
         trace = MaterialisedDataset(dataset)
-        pipelined = ScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02)
-        sequential = StrawmanSystem(config, DEFAULT_HARDWARE, 0.02)
+        pipelined = build_system(
+            uniform_system_spec("scratchpipe", 0.02),
+            config, DEFAULT_HARDWARE,
+        )
+        sequential = build_system(
+            uniform_system_spec("strawman", 0.02),
+            config, DEFAULT_HARDWARE,
+        )
         assert (
             pipelined.run_trace(trace).mean_latency(8)
             < sequential.run_trace(trace).mean_latency(8)
@@ -69,12 +84,18 @@ class TestTiming:
             "high": (0.012, 0.035),
         }.items():
             dataset = make_dataset(config, locality, seed=1, num_batches=14)
-            system = ScratchPipeSystem(config, DEFAULT_HARDWARE, 0.02)
+            system = build_system(
+                uniform_system_spec("scratchpipe", 0.02),
+                config, DEFAULT_HARDWARE,
+            )
             latency = system.run_trace(dataset).mean_latency(8)
             assert bounds[0] < latency < bounds[1], (locality, latency)
 
     def test_energy_positive(self, cfg):
-        system = ScratchPipeSystem(cfg, DEFAULT_HARDWARE, 0.2)
+        system = build_system(
+            uniform_system_spec("scratchpipe", 0.2),
+            cfg, DEFAULT_HARDWARE,
+        )
         dataset = make_dataset(cfg, "medium", seed=1, num_batches=12)
         result = system.run_trace(dataset)
         assert result.mean_energy(warmup=8) > 0
@@ -82,7 +103,10 @@ class TestTiming:
 
 class TestCacheSimulation:
     def test_simulate_cache_returns_stats(self, cfg):
-        system = ScratchPipeSystem(cfg, DEFAULT_HARDWARE, 0.2)
+        system = build_system(
+            uniform_system_spec("scratchpipe", 0.2),
+            cfg, DEFAULT_HARDWARE,
+        )
         dataset = make_dataset(cfg, "high", seed=1, num_batches=12)
         stats = system.simulate_cache(dataset)
         assert len(stats) == 12
@@ -91,9 +115,13 @@ class TestCacheSimulation:
 
     def test_policy_affects_behaviour(self, cfg):
         dataset = make_dataset(cfg, "high", seed=1, num_batches=12)
-        lru = ScratchPipeSystem(cfg, DEFAULT_HARDWARE, 0.3, policy_name="lru")
-        rnd = ScratchPipeSystem(
-            cfg, DEFAULT_HARDWARE, 0.3, policy_name="random"
+        lru = build_system(
+            uniform_system_spec("scratchpipe", 0.3, policy="lru"),
+            cfg, DEFAULT_HARDWARE,
+        )
+        rnd = build_system(
+            uniform_system_spec("scratchpipe", 0.3, policy="random"),
+            cfg, DEFAULT_HARDWARE,
         )
         lru_stats = lru.simulate_cache(dataset)
         rnd_stats = rnd.simulate_cache(dataset)

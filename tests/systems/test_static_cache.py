@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import build_system, uniform_system_spec
 from repro.data.trace import make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import ModelConfig, tiny_config
@@ -10,7 +11,6 @@ from repro.model.dlrm import DenseNetwork
 from repro.model.optimizer import SGD
 from repro.systems.static_cache import (
     SplitStats,
-    StaticCacheSystem,
     StaticCacheTrainer,
     split_batch,
 )
@@ -57,14 +57,26 @@ class TestSplitBatch:
 class TestStaticCacheSystem:
     def test_fraction_validated(self):
         with pytest.raises(ValueError):
-            StaticCacheSystem(ModelConfig(), DEFAULT_HARDWARE, 0.0)
+            build_system(
+                uniform_system_spec("static_cache", 0.0),
+                ModelConfig(), DEFAULT_HARDWARE,
+            )
         with pytest.raises(ValueError):
-            StaticCacheSystem(ModelConfig(), DEFAULT_HARDWARE, 1.5)
+            build_system(
+                uniform_system_spec("static_cache", 1.5),
+                ModelConfig(), DEFAULT_HARDWARE,
+            )
 
     def test_larger_cache_faster_on_locality(self):
         cfg = ModelConfig()
-        big = StaticCacheSystem(cfg, DEFAULT_HARDWARE, 0.10)
-        small = StaticCacheSystem(cfg, DEFAULT_HARDWARE, 0.02)
+        big = build_system(
+            uniform_system_spec("static_cache", 0.10),
+            cfg, DEFAULT_HARDWARE,
+        )
+        small = build_system(
+            uniform_system_spec("static_cache", 0.02),
+            cfg, DEFAULT_HARDWARE,
+        )
         lookups = cfg.lookups_per_batch
         # High-locality split for the two cache sizes.
         split_small = SplitStats(
@@ -81,7 +93,10 @@ class TestStaticCacheSystem:
         )
 
     def test_run_trace_faster_on_high_locality(self, cfg):
-        system = StaticCacheSystem(cfg, DEFAULT_HARDWARE, 0.10)
+        system = build_system(
+            uniform_system_spec("static_cache", 0.10),
+            cfg, DEFAULT_HARDWARE,
+        )
         high = make_dataset(cfg, "high", seed=3, num_batches=6)
         low = make_dataset(cfg, "low", seed=3, num_batches=6)
         assert (
@@ -91,7 +106,10 @@ class TestStaticCacheSystem:
 
     def test_miss_path_runs_on_cpu(self):
         cfg = ModelConfig()
-        system = StaticCacheSystem(cfg, DEFAULT_HARDWARE, 0.02)
+        system = build_system(
+            uniform_system_spec("static_cache", 0.02),
+            cfg, DEFAULT_HARDWARE,
+        )
         lookups = cfg.lookups_per_batch
         all_miss = SplitStats(0, lookups, 0, lookups)
         all_hit = SplitStats(lookups, 0, lookups // 4, 0)

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.api import build_system, uniform_system_spec
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import ModelConfig, tiny_config
 from repro.systems.hybrid import HybridSystem
 from repro.systems.stages import CACHE_STAGES
-from repro.systems.strawman_system import StrawmanSystem
 
 
 @pytest.fixture
@@ -19,17 +19,26 @@ def cfg():
 class TestStrawmanSystem:
     def test_fraction_validated(self):
         with pytest.raises(ValueError):
-            StrawmanSystem(ModelConfig(), DEFAULT_HARDWARE, -0.1)
+            build_system(
+                uniform_system_spec("strawman", -0.1),
+                ModelConfig(), DEFAULT_HARDWARE,
+            )
 
     def test_iteration_is_stage_sum(self, cfg):
-        system = StrawmanSystem(cfg, DEFAULT_HARDWARE, 0.2)
+        system = build_system(
+            uniform_system_spec("strawman", 0.2),
+            cfg, DEFAULT_HARDWARE,
+        )
         dataset = make_dataset(cfg, "medium", seed=2, num_batches=10)
         result = system.run_trace(dataset)
         for breakdown, time in zip(result.breakdowns, result.iteration_times):
             assert time == pytest.approx(breakdown.total)
 
     def test_stage_names(self, cfg):
-        system = StrawmanSystem(cfg, DEFAULT_HARDWARE, 0.2)
+        system = build_system(
+            uniform_system_spec("strawman", 0.2),
+            cfg, DEFAULT_HARDWARE,
+        )
         dataset = make_dataset(cfg, "medium", seed=2, num_batches=10)
         result = system.run_trace(dataset)
         assert set(result.stage_means(warmup=0)) == set(CACHE_STAGES)
@@ -41,7 +50,10 @@ class TestStrawmanSystem:
         trace = MaterialisedDataset(
             make_dataset(config, "medium", seed=2, num_batches=12)
         )
-        strawman = StrawmanSystem(config, DEFAULT_HARDWARE, 0.02)
+        strawman = build_system(
+            uniform_system_spec("strawman", 0.02),
+            config, DEFAULT_HARDWARE,
+        )
         hybrid = HybridSystem(config, DEFAULT_HARDWARE)
         assert (
             strawman.run_trace(trace).mean_latency(8)

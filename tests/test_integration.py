@@ -130,12 +130,8 @@ class TestSystemsShareOneTrace:
         """All four timing systems accept the same materialised trace and
         produce internally consistent results."""
         from repro.hardware.spec import DEFAULT_HARDWARE
-        from repro.systems import (
-            HybridSystem,
-            ScratchPipeSystem,
-            StaticCacheSystem,
-            StrawmanSystem,
-        )
+        from repro.api import build_system, uniform_system_spec
+        from repro.systems import HybridSystem
 
         cfg = tiny_config(rows_per_table=2000, batch_size=16,
                           lookups_per_table=4, num_tables=2)
@@ -144,9 +140,18 @@ class TestSystemsShareOneTrace:
         )
         results = [
             HybridSystem(cfg, DEFAULT_HARDWARE).run_trace(trace),
-            StaticCacheSystem(cfg, DEFAULT_HARDWARE, 0.1).run_trace(trace),
-            StrawmanSystem(cfg, DEFAULT_HARDWARE, 0.5).run_trace(trace),
-            ScratchPipeSystem(cfg, DEFAULT_HARDWARE, 0.5).run_trace(trace),
+            build_system(
+                uniform_system_spec("static_cache", 0.1),
+                cfg, DEFAULT_HARDWARE,
+            ).run_trace(trace),
+            build_system(
+                uniform_system_spec("strawman", 0.5),
+                cfg, DEFAULT_HARDWARE,
+            ).run_trace(trace),
+            build_system(
+                uniform_system_spec("scratchpipe", 0.5),
+                cfg, DEFAULT_HARDWARE,
+            ).run_trace(trace),
         ]
         for result in results:
             assert len(result.iteration_times) == 10
