@@ -9,14 +9,15 @@ systems, sweeps, the CLI and the live-replay harness can pick one per
 run:
 
 * ``serial`` (the default everywhere) plans inline: every stage of every
-  cycle runs in the calling process.
+  cycle runs in the calling process, and each cycle's Plan fans out over
+  contiguous table shards on threads — shard 0 on the calling thread,
+  the rest on a pool the stream owns — merged back in table order.
 * ``overlapped`` realises the paper's premise — Plan for batch
   ``N + future`` runs *ahead*, concurrently with Collect/Insert/Train of
   earlier batches — by sharding the per-table Plan work across dedicated
   worker processes (ScratchPipe instantiates one cache-manager per
   table, Section VI-G, so per-table Plan streams are independent by
-  construction).  Each worker runs the pipeline's own per-table
-  plan+monitor step.  Results travel back by message passing — full
+  construction).  Results travel back by message passing — full
   plan rows in functional mode, four counters per table in metadata
   mode, never shared memory, so there is no segment to leak — and the
   parent's loop takes them from the receiver as its plan source.
@@ -24,9 +25,16 @@ run:
   ``_PLAN_AHEAD_DEPTH`` batches ahead blocks until the parent catches
   up.
 
-Determinism contract: for a given pipeline, ``overlapped`` yields
+Both backends shard the tables the same way
+(:func:`_shard_tables` over ``REPRO_EXECUTOR_WORKERS`` shards, default
+``min(4, cores)``, at most one per table) and run the same per-shard
+step, ``ScratchPipePipeline._plan_shard``: plan each table, then let the
+hazard monitor check it.  The calling process records each table's
+violations and re-raises a shard's error in table order.
+
+Determinism contract: for a given pipeline, every backend yields
 bit-identical per-batch statistics, plans, losses, hazard-violation
-lists and final table/scratchpad contents to ``serial``, for any worker
+lists, raised errors and final table/scratchpad contents, for any worker
 count.  This holds because each table's Plan stream is a pure function
 of that table's initial scratchpad state and the batch sequence, and
 tables never share Plan state.
@@ -49,7 +57,6 @@ from repro.errors import (
     ExecutorConfigError,
     ExecutorUnavailableError,
     ExecutorWorkerError,
-    HazardError,
 )
 from repro.testing.faults import fault_point
 
@@ -117,7 +124,13 @@ def make_executor(name: str) -> Executor:
 
 @register_executor("serial")
 class SerialExecutor:
-    """Every stage in the calling process: the loop's inline plan source."""
+    """Every stage in the calling process: the loop's inline plan source.
+
+    Plan, the one stage whose per-table work is independent, runs on
+    ``REPRO_EXECUTOR_WORKERS`` threads (numpy releases the GIL inside
+    its kernels); every other stage, the fault points and the batch cache
+    stay on the calling thread.
+    """
 
     name = "serial"
 
@@ -144,8 +157,9 @@ _DEFAULT_TIMEOUT_S = 300.0
 
 
 def _worker_count(num_tables: int) -> int:
-    """Planner-process count: ``REPRO_EXECUTOR_WORKERS`` or a CPU-bound
-    default, clamped to one worker per table."""
+    """Plan shard count, for planner threads and processes alike:
+    ``REPRO_EXECUTOR_WORKERS`` or a CPU-bound default, clamped to one
+    shard per table."""
     raw = read_env("REPRO_EXECUTOR_WORKERS")
     if raw is None:
         count = min(4, os.cpu_count() or 1)
@@ -227,9 +241,12 @@ def _planner_worker(pipeline, shard_index: int, tables, num_batches: int, queue)
     Runs in a forked child, so ``pipeline`` (scratchpads, monitor, batch
     cache) is a private copy-on-write snapshot of the parent's
     construction-time state — exactly the state a serial run would plan
-    against, since Plan is the only stage that touches it.  Each table
-    goes through the pipeline's own plan+monitor step at the cycle the
-    serial loop would run it (``index + 1``).
+    against, since Plan is the only stage that touches it.  Each batch
+    goes through the pipeline's own shard step at the cycle the serial
+    loop would run it (``index + 1``), and ships one ``(payload,
+    messages)`` entry per planned table.  A shard that stopped early
+    ships its planned prefix, then the error.  A strict worker stops
+    after shipping a batch with violations: the parent raises there.
     """
     from repro.core.pipeline import plan_counters
 
@@ -241,24 +258,18 @@ def _planner_worker(pipeline, shard_index: int, tables, num_batches: int, queue)
             fault_point("pipeline.stage", detail=f"plan:{index}")
             batch = pipeline._get_batch(index)
             future_batches = pipeline._future_batches(index)
-            payload = []
-            flagged: List[Tuple[int, str]] = []
-            for table in tables:
-                before = len(monitor.violations) if monitor is not None else 0
-                try:
-                    plan = pipeline._plan_monitored(
-                        index + 1, table, batch, future_batches
-                    )
-                except HazardError as error:
-                    queue.put(("hazard", index, table, str(error)))
-                    return
-                if monitor is not None:
-                    flagged.extend(
-                        (table, message)
-                        for message in monitor.violations[before:]
-                    )
-                payload.append(encode(plan))
-            queue.put(("plan", index, payload, flagged))
+            planned, error = pipeline._plan_shard(
+                index + 1, tables, batch, future_batches
+            )
+            queue.put(
+                ("plan", index, [(encode(plan), messages) for plan, messages in planned])
+            )
+            if error is not None:
+                raise error
+            if monitor is not None and monitor.strict and any(
+                messages for _, messages in planned
+            ):
+                return
             pipeline._evict_batches_before(index + 1)
             if monitor is not None:
                 monitor.on_cycle_end(index + 1)
@@ -325,63 +336,49 @@ class _PlanReceiver:
             )
         return item
 
-    def receive(self, batch_index: int):
-        """Collect batch ``batch_index``'s per-table results from every
-        shard.
+    def receive(self, batch_index: int) -> List[tuple]:
+        """Batch ``batch_index``'s per-table payloads from every shard,
+        in table order.
 
-        Returns ``(payloads, flagged, hazard)`` — payloads and
-        non-strict violation messages concatenated in table order, and
-        the strict-mode hazard message (lowest table wins, matching the
-        serial table-scan order) or ``None``.
+        Each table's violations go to the parent's monitor as its
+        payload is taken, so a strict hazard raises here, at the lowest
+        table, as in a serial run; a shard that stopped early re-raises
+        its error after its planned prefix.
         """
+        monitor = self._pipeline.monitor
         payloads: List[tuple] = []
-        flagged: List[Tuple[int, str]] = []
-        hazards: List[Tuple[int, str]] = []
-        for shard_index in range(len(self._workers)):
+        for shard_index, tables in enumerate(self._shards):
             item = self._next(shard_index)
-            kind = item[0]
-            if kind == "hazard":
-                if item[1] != batch_index:
-                    raise ExecutorWorkerError(
-                        f"plan-ahead worker {shard_index} broke protocol: "
-                        f"hazard for batch {item[1]} while the parent is "
-                        f"at batch {batch_index}"
-                    )
-                hazards.append((item[2], item[3]))
-                continue
-            if kind != "plan" or item[1] != batch_index:
+            if item[0] != "plan" or item[1] != batch_index:
                 raise ExecutorWorkerError(
                     f"plan-ahead worker {shard_index} broke protocol: "
                     f"expected plan for batch {batch_index}, got "
-                    f"{kind!r} for {item[1]!r}"
+                    f"{item[0]!r} for {item[1]!r}"
                 )
-            payloads.extend(item[2])
-            flagged.extend(item[3])
-        if hazards:
-            _, message = min(hazards)
-            return [], [], message
-        return payloads, flagged, None
+            for payload, messages in item[2]:
+                if monitor is not None:
+                    monitor.record(messages)
+                payloads.append(payload)
+            if len(item[2]) < len(tables):
+                # The shard stopped early: its next message is the error.
+                self._next(shard_index)
+                raise ExecutorWorkerError(
+                    f"plan-ahead worker {shard_index} broke protocol: "
+                    f"short plan for batch {batch_index} without an error"
+                )
+        return payloads
 
     def plan_into(self, record, cycle: int) -> None:
         """The overlapped plan source: fill ``record`` from the shards.
 
         Functional runs decode the shipped plan rows; metadata runs build
         the batch's statistics straight from the shipped counters.
-        Non-strict violations join the parent's monitor in table order;
-        a strict hazard is re-raised here, where a serial run raises it.
         """
         from repro.core.pipeline import BatchCacheStats
         from repro.core.scratchpad import TablePlan
 
         pipeline = self._pipeline
-        payloads, flagged, hazard = self.receive(record.index)
-        monitor = pipeline.monitor
-        if monitor is not None:
-            monitor.violations.extend(message for _, message in flagged)
-        if hazard is not None:
-            if monitor is not None:
-                monitor.violations.append(hazard)
-            raise HazardError(hazard)
+        payloads = self.receive(record.index)
         if pipeline._functional:
             record.plans = [TablePlan(*fields) for fields in payloads]
         else:

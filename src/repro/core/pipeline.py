@@ -15,6 +15,8 @@ show the monitor *does* catch the hazards the windows exist to prevent.
 
 from __future__ import annotations
 
+import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
@@ -26,7 +28,12 @@ from repro.errors import (
     MonitorCycleError,
     PipelineConfigError,
 )
-from repro.core.executor import make_executor, registered_executors
+from repro.core.executor import (
+    _shard_tables,
+    _worker_count,
+    make_executor,
+    registered_executors,
+)
 from repro.core.hitmap import EMPTY
 from repro.core.scratchpad import GpuScratchpad, TablePlan
 from repro.data.trace import MiniBatch
@@ -163,8 +170,17 @@ class HazardMonitor:
     Tracks, per table, the scratchpad slots each in-flight batch will write
     (at [Insert] and [Train]) and the pending CPU-table write-backs, then
     checks every [Plan]'s victim choices and every [Collect]'s CPU reads
-    against them.  ``strict=True`` raises :class:`HazardError` immediately;
-    otherwise violations accumulate in :attr:`violations`.
+    against them.  ``strict=True`` raises :class:`HazardError` on the
+    first violation; otherwise violations accumulate in :attr:`violations`.
+
+    Each table-plan goes through two steps.  :meth:`check` validates the
+    plan against the table's in-flight writes, registers its own, and
+    returns the violation messages; it touches only that table's
+    entries, so checks of *distinct* tables may run on concurrent threads
+    (two concurrent checks of one table are not safe).  :meth:`record`
+    then logs the messages — and raises, if strict — on the thread that
+    owns :attr:`violations`, in table order.  :meth:`on_plan` is both
+    steps in one call.
 
     RAW-2/3 state is one int32 array per table recording the cycle at
     which the last scheduled write to each *slot* lands (a check is a
@@ -178,7 +194,7 @@ class HazardMonitor:
     ring holds a handful of small sorted arrays and the check is a few
     ``searchsorted`` membership probes over the miss IDs.  Entries are
     pruned as soon as they land before the reading cycle, which is sound
-    only because per-table ``on_plan`` cycles never decrease (each table
+    only because per-table ``check`` cycles never decrease (each table
     is planned once per cycle, in cycle order); a call that breaks that
     contract raises :class:`MonitorCycleError`.  Per-element dict
     bookkeeping is the equivalence-test oracle
@@ -197,11 +213,6 @@ class HazardMonitor:
     )
     _last_cycle: Dict[int, int] = field(default_factory=dict)
 
-    def _flag(self, message: str) -> None:
-        self.violations.append(message)
-        if self.strict:
-            raise HazardError(message)
-
     @staticmethod
     def _grown(store: Dict[int, np.ndarray], table: int, min_size: int) -> np.ndarray:
         """Fetch ``store[table]``, growing it geometrically to ``min_size``."""
@@ -217,10 +228,27 @@ class HazardMonitor:
 
     def on_plan(self, cycle: int, table: int, plan: TablePlan) -> None:
         """Validate and register one table-plan produced at ``cycle``."""
+        self.record(self.check(cycle, table, plan))
+
+    def record(self, messages: Sequence[str]) -> None:
+        """Log the violations :meth:`check` found; a strict monitor
+        raises :class:`HazardError` on the first, after logging it."""
+        for message in messages:
+            self.violations.append(message)
+            if self.strict:
+                raise HazardError(message)
+
+    def check(self, cycle: int, table: int, plan: TablePlan) -> List[str]:
+        """Validate and register one table-plan produced at ``cycle``;
+        returns the violations it finds, in flagging order.
+
+        Touches only ``table``'s entries, so calls for distinct tables may
+        run on concurrent threads.  Raises only :class:`MonitorCycleError`.
+        """
         if cycle < self._last_cycle.get(table, cycle):
             raise MonitorCycleError(
                 f"table {table} planned at cycle {cycle} after a plan at "
-                f"cycle {self._last_cycle[table]}; per-table on_plan cycles "
+                f"cycle {self._last_cycle[table]}; per-table check cycles "
                 f"must not decrease"
             )
         self._last_cycle[table] = cycle
@@ -233,6 +261,7 @@ class HazardMonitor:
         miss_ids = np.asarray(plan.miss_ids, dtype=np.int64).reshape(-1)
         evicted = np.asarray(plan.evicted_ids, dtype=np.int64).reshape(-1)
 
+        messages: List[str] = []
         max_slot = max(fill_slots.max(initial=-1), slots.max(initial=-1))
         slot_writes = self._grown(self._slot_write_cycles, table, int(max_slot) + 1)
 
@@ -241,7 +270,7 @@ class HazardMonitor:
         if fill_slots.size:
             pending = slot_writes[fill_slots]
             for i in np.flatnonzero(pending >= collect_cycle):
-                self._flag(
+                messages.append(
                     f"RAW-2/3: slot {int(fill_slots[i])} of table {table} "
                     f"chosen as victim (read at cycle {collect_cycle}) "
                     f"while an in-flight batch writes it at cycle "
@@ -266,7 +295,7 @@ class HazardMonitor:
                 )
                 pending[rows[positions] == miss_ids] = insert_at
             for i in np.flatnonzero(pending >= collect_cycle):
-                self._flag(
+                messages.append(
                     f"RAW-4: row {int(miss_ids[i])} of table {table} read "
                     f"from the CPU table at cycle {collect_cycle} while its "
                     f"write-back lands at cycle {int(pending[i])}"
@@ -286,6 +315,7 @@ class HazardMonitor:
             dirty = dirty[dirty != EMPTY]
             if dirty.size:
                 entries.append((insert_cycle, np.sort(dirty)))
+        return messages
 
     def on_cycle_end(self, cycle: int) -> None:
         """Retire writes that have now happened.
@@ -401,9 +431,10 @@ class ScratchPipePipeline:
         monitor: Optional hazard monitor.
         executor: Execution strategy, by registered name
             (:mod:`repro.core.executor`): ``"serial"`` runs every stage in
-            the calling process; ``"overlapped"`` runs Plan N+future on
-            dedicated worker processes while Collect/Insert/Train retire
-            here.  All executors produce bit-identical results.
+            the calling process, each cycle's Plan sharded by table over
+            threads; ``"overlapped"`` runs Plan N+future on dedicated
+            worker processes while Collect/Insert/Train retire here.  All
+            executors produce bit-identical results.
     """
 
     config: ModelConfig
@@ -482,30 +513,65 @@ class ScratchPipePipeline:
             batch.unique_table_ids(table), future_ids, presorted_unique=True
         )
 
-    def _plan_monitored(
+    def _plan_shard(
         self,
         cycle: int,
-        table: int,
+        tables: Sequence[int],
         batch: MiniBatch,
         future_batches: List[MiniBatch],
-    ) -> TablePlan:
-        """Plan one table of one batch and show the plan to the monitor
-        (the per-table unit of Plan work — also the unit the overlapped
-        executor shards across workers)."""
-        plan = self._plan_table(table, batch, future_batches)
-        if self.monitor is not None:
-            self.monitor.on_plan(cycle, table, plan)
-        return plan
+    ) -> Tuple[List[Tuple[TablePlan, List[str]]], Optional[Exception]]:
+        """Plan and check ``tables`` of one batch, in order.
 
-    def _do_plan(self, record: _InFlight, cycle: int) -> None:
-        """The inline plan source: every table, in this process."""
+        The unit of Plan work both executors shard: the serial executor
+        runs shards on threads, the overlapped one on planner processes.
+        Returns ``(planned, error)``: each planned table's plan with the
+        monitor's :meth:`HazardMonitor.check` messages, and the exception
+        that stopped the shard early (``None`` if every table planned).
+        The caller records the messages and re-raises ``error`` in table
+        order, so a shard fails exactly where a table-by-table scan would.
+        """
+        monitor = self.monitor
+        planned: List[Tuple[TablePlan, List[str]]] = []
+        try:
+            for table in tables:
+                plan = self._plan_table(table, batch, future_batches)
+                messages = [] if monitor is None else monitor.check(cycle, table, plan)
+                planned.append((plan, messages))
+        except Exception as error:
+            return planned, error
+        return planned, None
+
+    def _do_plan(
+        self,
+        record: _InFlight,
+        cycle: int,
+        shards: Sequence[Sequence[int]],
+        pool: Optional[ThreadPoolExecutor],
+    ) -> None:
+        """The inline plan source: every table, in this process.
+
+        Shard 0 runs on the calling thread and the others on ``pool``
+        (ScratchPipe's per-table cache managers share no Plan state, and
+        numpy releases the GIL inside Plan's kernels).  Fault points and
+        the batch cache stay on the calling thread; the merge records
+        violations and re-raises errors in table order.
+        """
         fault_point("pipeline.stage", detail=f"plan:{record.index}")
         batch = self._get_batch(record.index)
         future_batches = self._future_batches(record.index)
-        record.plans = [
-            self._plan_monitored(cycle, table, batch, future_batches)
-            for table in range(self.config.num_tables)
+        pending = [
+            pool.submit(self._plan_shard, cycle, tables, batch, future_batches)
+            for tables in shards[1:]
         ]
+        results = [self._plan_shard(cycle, shards[0], batch, future_batches)]
+        results.extend(future.result() for future in pending)
+        for planned, error in results:
+            for plan, messages in planned:
+                if self.monitor is not None:
+                    self.monitor.record(messages)
+                record.plans.append(plan)
+            if error is not None:
+                raise error
 
     def _do_collect(self, record: _InFlight) -> None:
         if not self._functional:
@@ -606,45 +672,62 @@ class ScratchPipePipeline:
 
         ``plan(record, cycle)`` is the plan source: it fills the record
         of the batch entering [Plan] at ``cycle``.  The default,
-        :meth:`_do_plan`, plans inline; the overlapped executor passes a
-        receiver that takes the plans from its planner processes.
+        :meth:`_do_plan`, plans inline, sharding the tables
+        (``REPRO_EXECUTOR_WORKERS`` shards) over a thread pool that this
+        stream owns and shuts down on every exit path, generator close
+        included; one shard runs without a pool.  The overlapped
+        executor passes a receiver that takes the plans from its planner
+        processes.
         """
+        pool: Optional[ThreadPoolExecutor] = None
         if plan is None:
-            plan = self._do_plan
-        in_flight: Dict[int, _InFlight] = {}
+            shards = _shard_tables(
+                self.config.num_tables, _worker_count(self.config.num_tables)
+            )
+            if len(shards) > 1:
+                pool = ThreadPoolExecutor(
+                    len(shards) - 1, thread_name_prefix="repro-plan"
+                )
+            plan = functools.partial(self._do_plan, shards=shards, pool=pool)
+        try:
+            in_flight: Dict[int, _InFlight] = {}
 
-        last_cycle = num_batches - 1 + len(STAGES) - 1
-        for cycle in range(last_cycle + 1):
-            # Oldest stage first; window disjointness (verified by the
-            # monitor) makes intra-cycle order immaterial for correctness.
-            train_idx = cycle - 5
-            retired: Optional[BatchCacheStats] = None
-            if 0 <= train_idx < num_batches:
-                record = in_flight.pop(train_idx)
-                loss = self._do_train(record)
-                if loss is not None and losses is not None:
-                    losses.append(loss)
-                retired = self._stats_for(record)
-            insert_idx = cycle - 4
-            if 0 <= insert_idx < num_batches:
-                self._do_insert(in_flight[insert_idx])
-            # Exchange (cycle - 3) moves data over PCIe; functionally the
-            # staged buffers are already host-side copies, so it is a no-op
-            # here and a priced stage in the timing layer.
-            collect_idx = cycle - 2
-            if 0 <= collect_idx < num_batches:
-                self._do_collect(in_flight[collect_idx])
-            plan_idx = cycle - 1
-            if 0 <= plan_idx < num_batches:
-                plan(in_flight[plan_idx], cycle)
-            if cycle < num_batches:
-                in_flight[cycle] = _InFlight(index=cycle)
-            oldest = min(in_flight) if in_flight else num_batches
-            self._evict_batches_before(oldest)
-            if self.monitor is not None:
-                self.monitor.on_cycle_end(cycle)
-            if retired is not None:
-                yield retired
+            last_cycle = num_batches - 1 + len(STAGES) - 1
+            for cycle in range(last_cycle + 1):
+                # Oldest stage first; window disjointness (verified by the
+                # monitor) makes intra-cycle order immaterial for
+                # correctness.
+                train_idx = cycle - 5
+                retired: Optional[BatchCacheStats] = None
+                if 0 <= train_idx < num_batches:
+                    record = in_flight.pop(train_idx)
+                    loss = self._do_train(record)
+                    if loss is not None and losses is not None:
+                        losses.append(loss)
+                    retired = self._stats_for(record)
+                insert_idx = cycle - 4
+                if 0 <= insert_idx < num_batches:
+                    self._do_insert(in_flight[insert_idx])
+                # Exchange (cycle - 3) moves data over PCIe; functionally
+                # the staged buffers are already host-side copies, so it is
+                # a no-op here and a priced stage in the timing layer.
+                collect_idx = cycle - 2
+                if 0 <= collect_idx < num_batches:
+                    self._do_collect(in_flight[collect_idx])
+                plan_idx = cycle - 1
+                if 0 <= plan_idx < num_batches:
+                    plan(in_flight[plan_idx], cycle)
+                if cycle < num_batches:
+                    in_flight[cycle] = _InFlight(index=cycle)
+                oldest = min(in_flight) if in_flight else num_batches
+                self._evict_batches_before(oldest)
+                if self.monitor is not None:
+                    self.monitor.on_cycle_end(cycle)
+                if retired is not None:
+                    yield retired
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
     def run(self, num_batches: Optional[int] = None) -> PipelineResult:
         """Run the pipeline over ``num_batches`` (default: whole trace)."""

@@ -120,9 +120,15 @@ class MiniBatch:
     # the future windows of the two preceding [Plan]s) and again by every
     # system replaying the same materialised trace — computing them once per
     # batch instead of per consumer is one of the pipeline's biggest wins.
-    _unique_cache: Optional[List[Optional[np.ndarray]]] = field(
-        default=None, init=False, repr=False, compare=False
+    # The list itself is allocated up front: Plan threads fill distinct
+    # entries concurrently, and a lazily created list could be replaced
+    # under one of them, dropping its entry.
+    _unique_cache: List[Optional[np.ndarray]] = field(
+        init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_unique_cache", [None] * self.num_tables)
 
     @property
     def num_tables(self) -> int:
@@ -140,9 +146,6 @@ class MiniBatch:
         by every consumer of this batch.
         """
         cache = self._unique_cache
-        if cache is None:
-            cache = [None] * self.num_tables
-            object.__setattr__(self, "_unique_cache", cache)
         ids = cache[table]
         if ids is None:
             ids = cache[table] = _sorted_unique(self.table_ids(table))

@@ -77,15 +77,16 @@ class ScanHazardMonitor(HazardMonitor):
     _pending_slot_writes: Dict[Tuple[int, int], int] = field(default_factory=dict)
     _pending_writebacks: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
-    def on_plan(self, cycle: int, table: int, plan: TablePlan) -> None:
+    def check(self, cycle: int, table: int, plan: TablePlan) -> List[str]:
         collect_cycle = cycle + PLAN_TO_COLLECT
         insert_cycle = cycle + PLAN_TO_INSERT
         train_cycle = cycle + PLAN_TO_TRAIN
 
+        messages: List[str] = []
         for slot in plan.fill_slots:
             pending = self._pending_slot_writes.get((table, int(slot)))
             if pending is not None and pending >= collect_cycle:
-                self._flag(
+                messages.append(
                     f"RAW-2/3: slot {int(slot)} of table {table} chosen as "
                     f"victim (read at cycle {collect_cycle}) while an "
                     f"in-flight batch writes it at cycle {pending}"
@@ -94,7 +95,7 @@ class ScanHazardMonitor(HazardMonitor):
         for row in plan.miss_ids:
             pending = self._pending_writebacks.get((table, int(row)))
             if pending is not None and pending >= collect_cycle:
-                self._flag(
+                messages.append(
                     f"RAW-4: row {int(row)} of table {table} read from the "
                     f"CPU table at cycle {collect_cycle} while its "
                     f"write-back lands at cycle {pending}"
@@ -110,6 +111,7 @@ class ScanHazardMonitor(HazardMonitor):
         for _, evicted in zip(plan.fill_slots, plan.evicted_ids):
             if int(evicted) != EMPTY:
                 self._pending_writebacks[(table, int(evicted))] = insert_cycle
+        return messages
 
     def on_cycle_end(self, cycle: int) -> None:
         self._pending_slot_writes = {

@@ -83,6 +83,27 @@ class TestHazardMonitorEquivalence:
             violations[scan] = monitor.violations
         assert violations[False] == violations[True]
 
+    @pytest.mark.parametrize("past_window,future_window,policy", [
+        (0, 0, "random"),
+        (1, 2, "random"),
+        (3, 0, "lru"),
+    ])
+    def test_same_violations_through_three_plan_shards(
+        self, monkeypatch, past_window, future_window, policy
+    ):
+        # One table per shard: every table's check runs on its own thread.
+        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "3")
+        cfg = make_cfg(num_tables=3)
+        violations = {}
+        for scan in (False, True):
+            dataset = make_dataset(cfg, "random", seed=3, num_batches=60)
+            monitor = run_monitored(
+                cfg, dataset, past_window, future_window, 34, policy, scan,
+            )
+            violations[scan] = monitor.violations
+        assert violations[False]
+        assert violations[False] == violations[True]
+
     def test_shrunken_windows_do_flag(self):
         # Guard against vacuous equivalence: the shrunken-window cases
         # above must actually produce violations.

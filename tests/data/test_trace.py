@@ -1,5 +1,8 @@
 """Tests for trace generation (repro.data.trace)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,45 @@ class TestMiniBatch:
     def test_id_only_batch_has_no_dense(self, dataset):
         batch = dataset.batch(0)
         assert batch.dense is None and batch.labels is None
+
+    def test_concurrent_first_calls_keep_every_table_cached(self):
+        # Plan threads ask one fresh batch for distinct tables at once; the
+        # array each thread gets must be the one the batch keeps, or the
+        # Hit-Map TLB (keyed on array identity) misses on the next use.
+        num_tables = 8
+        rng = np.random.default_rng(5)
+        batches = [
+            MiniBatch(index=i, sparse_ids=rng.integers(0, 50, (num_tables, 4, 2)))
+            for i in range(300)
+        ]
+        barrier = threading.Barrier(num_tables, timeout=30)
+        got = [[None] * num_tables for _ in batches]
+
+        def first_calls(table):
+            for index, batch in enumerate(batches):
+                barrier.wait()
+                got[index][table] = batch.unique_table_ids(table)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=first_calls, args=(table,))
+                for table in range(num_tables)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for index, batch in enumerate(batches):
+            for table in range(num_tables):
+                assert got[index][table] is not None
+                assert batch.unique_table_ids(table) is got[index][table], (
+                    f"batch {index} table {table}"
+                )
 
 
 class TestSyntheticDataset:
