@@ -20,26 +20,13 @@ comparable to the "<1 GB" the paper budgets for its Hit-Map (Section VI-D).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from repro.errors import HitMapConfigError, UncachedKeyError
 
 #: Sentinel meaning "no key cached in this slot" / "key not cached".
 EMPTY = -1
-
-#: Translation-cache capacity (see ``HitMap``): the pipeline keeps at
-#: most the current batch's set plus the two future-window sets live, so
-#: four entries cover it with one spare for edge patterns.
-_TLB_CAPACITY = 4
-
-#: Patch-vs-invalidate break-even (see ``HitMap._patch_tlb``): a cached
-#: translation is patched in place only while the assignment's update set
-#: is at least this many times smaller than the cached set; otherwise the
-#: entry is invalidated and re-gathered on its next lookup.  A binary
-#: probe costs a few times a gathered element (log-factor plus the extra
-#: passes), so 4 keeps patching strictly on the winning side.
-_TLB_PATCH_FACTOR = 4
 
 
 @dataclass
@@ -49,22 +36,6 @@ class HitMap:
     Attributes:
         num_slots: Capacity of the Storage array this map indexes.
         num_rows: Size of the sparse-ID universe (the table's row count).
-
-    A software-managed TLB sits in front of the dense index for the
-    [Plan] hot path: each batch's sorted-unique ID set is looked up
-    *three times* across consecutive plans (as the future-window
-    lookahead of the two preceding plans, then as its own plan's query),
-    each a cache-hostile random gather over the row-count-sized index.
-    ``slots_raw``/``query`` with ``presorted_unique=True`` key a tiny
-    translation cache on the identity of the ID array (the pipeline
-    reuses one ndarray per batch per table), and every ``assign_many``
-    either patches the cached translations in place (a ``searchsorted``
-    probe of the update keys into the sorted cached set — far cheaper
-    than re-gathering when the update set is small) or, when the update
-    set is too large for patching to win, invalidates them so the next
-    lookup re-gathers.  The third lookup (the plan's own ``query``)
-    retires the entry.  Cached translations are served as shared
-    read-only views, valid until the next map mutation.
     """
 
     num_slots: int
@@ -72,12 +43,6 @@ class HitMap:
     _slot_of_key: np.ndarray = field(init=False, repr=False)
     _key_of_slot: np.ndarray = field(init=False, repr=False)
     _size: int = field(init=False, default=0, repr=False)
-    # id(keys) -> (keys, cached int32 slot translations).  Holding the
-    # keys array itself both pins the id against reuse and lets patches
-    # probe membership without touching the dense index.
-    _tlb: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         if self.num_slots < 1:
@@ -109,15 +74,6 @@ class HitMap:
         """Key cached in ``slot`` (``EMPTY`` if vacant)."""
         return int(self._key_of_slot[slot])
 
-    @property
-    def key_of_slot_array(self) -> np.ndarray:
-        """The dense slot->key index (``EMPTY`` where vacant), uncopied.
-
-        Exposed for the Plan stage's transient-exclusion fast path; callers
-        must treat the array as read-only.
-        """
-        return self._key_of_slot
-
     def query(
         self, keys: np.ndarray, *, presorted_unique: bool = False
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -139,17 +95,7 @@ class HitMap:
             ``keys[i]`` or ``EMPTY``; ``hit_mask[i]`` is True on a hit.
         """
         if presorted_unique:
-            if keys.size and (keys[0] < 0 or keys[-1] >= self.num_rows):
-                raise HitMapConfigError(
-                    f"key out of range [0, {self.num_rows}): "
-                    f"[{int(keys[0])}, {int(keys[-1])}]"
-                )
-            # A query is the *last* lookup of a batch's ID set (its own
-            # plan): serve and retire the TLB entry in one step.
-            entry = self._tlb.pop(id(keys), None)
-            if entry is not None:
-                slots = entry[1].astype(np.int64)
-                return slots, slots != EMPTY
+            self._check_sorted_range(keys)
         else:
             keys = np.asarray(keys, dtype=np.int64)
             if keys.size and (
@@ -162,46 +108,27 @@ class HitMap:
         slots = self._slot_of_key[keys].astype(np.int64)
         return slots, slots != EMPTY
 
-    def slots_raw(
-        self, keys: np.ndarray, *, presorted_unique: bool = False
-    ) -> np.ndarray:
-        """Bare slot lookup: ``EMPTY`` (-1) where a key is uncached.
+    def slots_raw(self, keys: np.ndarray) -> np.ndarray:
+        """Bare slot lookup of a sorted-unique ID set: ``EMPTY`` (-1) where
+        a key is uncached.
 
         Skips the int64 cast and hit-mask computation of :meth:`query` —
         the Plan stage's future-window lookahead only needs raw slot
         indices to arm transient protection (``-1`` entries are inert
-        there).
-
-        With ``presorted_unique`` the translation is cached in the TLB
-        keyed on the ID array's identity and served on repeat lookups;
-        the returned array is a shared read-only view, valid only until
-        the next map mutation (the lookahead consumes it immediately).
+        there).  ``keys`` must be sorted, as :meth:`query`'s
+        ``presorted_unique`` path requires, so the range check is the same
+        O(1) first/last test.  The result is a fresh array.
         """
-        if presorted_unique:
-            if keys.size and (keys[0] < 0 or keys[-1] >= self.num_rows):
-                raise HitMapConfigError(
-                    f"key out of range [0, {self.num_rows}): "
-                    f"[{int(keys[0])}, {int(keys[-1])}]"
-                )
-            entry = self._tlb.get(id(keys))
-            if entry is not None:
-                return entry[1]
-            result = self._slot_of_key[keys]
-            if keys.size:
-                self._tlb[id(keys)] = (keys, result)
-                if len(self._tlb) > _TLB_CAPACITY:
-                    self._tlb.pop(next(iter(self._tlb)))
-            return result
-        else:
-            keys = np.asarray(keys, dtype=np.int64)
-            if keys.size and (
-                int(keys.min()) < 0 or int(keys.max()) >= self.num_rows
-            ):
-                raise HitMapConfigError(
-                    f"key out of range [0, {self.num_rows}): "
-                    f"min {int(keys.min())}, max {int(keys.max())}"
-                )
+        self._check_sorted_range(keys)
         return self._slot_of_key[keys]
+
+    def _check_sorted_range(self, keys: np.ndarray) -> None:
+        """O(1) range check of a sorted key array: its ends bound it."""
+        if keys.size and (keys[0] < 0 or keys[-1] >= self.num_rows):
+            raise HitMapConfigError(
+                f"key out of range [0, {self.num_rows}): "
+                f"[{int(keys[0])}, {int(keys[-1])}]"
+            )
 
     def assign_many(
         self, keys: np.ndarray, slots: np.ndarray, *, validate: bool = True
@@ -250,45 +177,7 @@ class HitMap:
         self._slot_of_key[keys] = slots32
         self._key_of_slot[slots] = keys
         self._size += int(keys.size - valid.sum())
-        if self._tlb:
-            self._patch_tlb(keys, slots32, displaced[valid])
         return displaced
-
-    def _patch_tlb(
-        self, keys: np.ndarray, slots32: np.ndarray, evicted_keys: np.ndarray
-    ) -> None:
-        """Apply one assignment to every live cached translation.
-
-        ``keys``/``slots32`` are the just-installed pairs (keys were
-        uncached) and ``evicted_keys`` the real displaced keys (were
-        cached) — disjoint sets, so patch order is immaterial.  Each
-        update key is probed into the (sorted) cached set, so a patch
-        costs O(updates * log(cached)) — cheap for the high-locality
-        traffic the TLB targets, where the miss set is a sliver of the
-        batch.  When the update set rivals the cached set in size the
-        patch would cost more than the dense-index gather it avoids, so
-        the entry is invalidated instead and the next lookup re-gathers
-        (no worse than an uncached lookup).
-        """
-        budget = _TLB_PATCH_FACTOR * (keys.size + evicted_keys.size)
-        stale = [
-            entry_id
-            for entry_id, (cached_keys, _) in self._tlb.items()
-            if cached_keys.size <= budget
-        ]
-        for entry_id in stale:
-            del self._tlb[entry_id]
-        for cached_keys, cached_slots in self._tlb.values():
-            top = cached_keys.size - 1
-            if evicted_keys.size:
-                positions = np.minimum(
-                    np.searchsorted(cached_keys, evicted_keys), top
-                )
-                hit = cached_keys[positions] == evicted_keys
-                cached_slots[positions[hit]] = EMPTY
-            positions = np.minimum(np.searchsorted(cached_keys, keys), top)
-            hit = cached_keys[positions] == keys
-            cached_slots[positions[hit]] = slots32[hit]
 
     def assign(self, key: int, slot: int) -> int:
         """Scalar convenience wrapper around :meth:`assign_many`."""
@@ -309,7 +198,6 @@ class HitMap:
         self._slot_of_key[self._key_of_slot[occupied]] = EMPTY
         self._key_of_slot.fill(EMPTY)
         self._size = 0
-        self._tlb.clear()
 
     def export_state(self) -> np.ndarray:
         """Snapshot the slot->key index for cross-process adoption.

@@ -304,13 +304,11 @@ class ReplacementPolicy:
         """Normalise the transient argument into an exclusion object.
 
         Accepts ``None``, an array of transient slot indices (duplicates
-        allowed), a list of such arrays (``-1`` entries are ignored — they
-        mark uncached future IDs), or any object exposing ``mask(slots)``.
+        allowed), or a list of such arrays (``-1`` entries are ignored —
+        they mark uncached future IDs).
         """
         if transient is None:
             return None
-        if hasattr(transient, "mask"):
-            return transient
         if isinstance(transient, (list, tuple)):
             parts = [part for part in transient if part.size]
         else:
@@ -328,7 +326,7 @@ class ReplacementPolicy:
 
         Eligibility is "hold stamp expired and not transiently protected"
         (the Plan stage's future-window lookahead); ``transient`` is an
-        array of protected slots or an exclusion object (see
+        array, or a list of arrays, of protected slots (see
         :meth:`_exclusion_for`).  Bit-identical to a full scan over the
         eligibility mask the bound hold mask and the transient set describe.
 

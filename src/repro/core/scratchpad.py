@@ -172,16 +172,17 @@ class GpuScratchpad:
             batch_ids: The batch's lookup IDs for this table (any shape;
                 duplicates allowed).
             future_ids: Lookup IDs of the next ``future_window`` batches
-                (the lookahead that removes RAW-4); ``None`` or empty
-                disables future protection.  With ``presorted_unique`` this
-                may be a *list* of per-batch sorted-unique ID arrays, which
-                skips concatenating them.
+                (the lookahead that removes RAW-4), in one of two shapes:
+                a *list* of per-batch sorted-unique int64 ID arrays
+                (``MiniBatch.unique_table_ids``, looked up as they are), or
+                one raw ID array of any shape, duplicates allowed (the
+                future batches' IDs concatenated), which is ``np.unique``-d
+                first.  ``None`` or empty disables future protection.
             presorted_unique: Fast path for the pipelined caller:
                 ``batch_ids`` is already the sorted-unique int64 ID set of
-                the batch (``MiniBatch.unique_table_ids``) and ``future_ids``
-                holds such per-batch sorted-unique sets.
-                Skips the per-call ``np.unique`` passes; the resulting plan
-                is bit-identical to the slow path's.
+                the batch (``MiniBatch.unique_table_ids``).  Skips the
+                per-call ``np.unique`` pass; the resulting plan is
+                bit-identical to the slow path's.
 
         Returns:
             A :class:`TablePlan` that later stages consume.
@@ -221,7 +222,7 @@ class GpuScratchpad:
             try:
                 fill_slots = self.policy.select_eligible(
                     miss_ids.size,
-                    self._future_raw_slots(future_ids, presorted_unique),
+                    self._future_raw_slots(future_ids),
                 )
             except CachePressureError as error:
                 table = (
@@ -251,7 +252,7 @@ class GpuScratchpad:
             evicted_ids=evicted_ids,
         )
 
-    def _future_raw_slots(self, future_ids, presorted_unique: bool):
+    def _future_raw_slots(self, future_ids):
         """Future-window slots as raw per-part lookups (may contain -1).
 
         The policies arm transient protection straight from these
@@ -261,19 +262,12 @@ class GpuScratchpad:
         """
         if future_ids is None or len(future_ids) == 0:
             return None
-        if presorted_unique:
-            if isinstance(future_ids, (list, tuple)):
-                return [
-                    self.hit_map.slots_raw(keys, presorted_unique=True)
-                    for keys in future_ids
-                ]
-            # Back-compat: one pre-concatenated array is not globally
-            # sorted, so take the full range validation.
-            return [self.hit_map.slots_raw(future_ids)]
+        if isinstance(future_ids, (list, tuple)):
+            return [self.hit_map.slots_raw(keys) for keys in future_ids]
         future_keys = np.unique(
             np.asarray(future_ids, dtype=np.int64).reshape(-1)
         )
-        return [self.hit_map.slots_raw(future_keys, presorted_unique=True)]
+        return [self.hit_map.slots_raw(future_keys)]
 
     # ------------------------------------------------------------------
     # Storage access (functional mode only)

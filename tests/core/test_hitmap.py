@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.hitmap import EMPTY, HitMap
+from repro.core.scratchpad import GpuScratchpad
+from repro.errors import HitMapConfigError
 
 
 @pytest.fixture
@@ -41,10 +43,15 @@ class TestQuery:
             hitmap.query(np.array([0, 100]))
 
     def test_presorted_fast_path_checks_bounds(self, hitmap):
-        with pytest.raises(ValueError, match="out of range"):
-            hitmap.query(np.array([-1, 5]), presorted_unique=True)
-        with pytest.raises(ValueError, match="out of range"):
-            hitmap.query(np.array([5, 100]), presorted_unique=True)
+        lookups = (
+            lambda keys: hitmap.query(keys, presorted_unique=True),
+            hitmap.slots_raw,
+        )
+        for lookup in lookups:
+            with pytest.raises(HitMapConfigError, match="out of range"):
+                lookup(np.array([-1, 5]))
+            with pytest.raises(HitMapConfigError, match="out of range"):
+                lookup(np.array([5, 100]))
 
     def test_presorted_fast_path_matches_slow_path(self, hitmap):
         hitmap.assign(42, 2)
@@ -53,6 +60,31 @@ class TestQuery:
         fast = hitmap.query(keys, presorted_unique=True)
         assert np.array_equal(slow[0], fast[0])
         assert np.array_equal(slow[1], fast[1])
+
+    def test_slots_raw_result_is_owned_by_the_caller(self, monkeypatch):
+        # A later assignment must not rewrite an earlier lookup's result.
+        # The lookup is the Plan stage's own: a future-window set handed
+        # to plan_batch in the per-batch sorted-unique shape.
+        pad = GpuScratchpad(num_slots=64, num_rows=1000)
+        hitmap = pad.hit_map
+        looked_up = []
+        slots_raw = hitmap.slots_raw
+
+        def recording_slots_raw(*args, **kwargs):
+            looked_up.append(slots_raw(*args, **kwargs))
+            return looked_up[-1]
+
+        monkeypatch.setattr(hitmap, "slots_raw", recording_slots_raw)
+        keys = np.arange(0, 400, 10, dtype=np.int64)
+        plan = pad.plan_batch(
+            np.array([999], dtype=np.int64), [keys], presorted_unique=True
+        )
+        assert len(looked_up) == 1 and looked_up[0].size == keys.size
+        assert (looked_up[0] == EMPTY).all()
+        assert 5 not in plan.fill_slots.tolist()
+        hitmap.assign_many(keys[7:8], np.array([5]))
+        assert hitmap.slot_of(int(keys[7])) == 5
+        assert (looked_up[0] == EMPTY).all()
 
     def test_empty_query_ok(self, hitmap):
         slots, hits = hitmap.query(np.empty(0, dtype=np.int64))

@@ -46,7 +46,7 @@ class TestMiniBatch:
     def test_concurrent_first_calls_keep_every_table_cached(self):
         # Plan threads ask one fresh batch for distinct tables at once; the
         # array each thread gets must be the one the batch keeps, or the
-        # Hit-Map TLB (keyed on array identity) misses on the next use.
+        # next use of that table's IDs re-runs np.unique.
         num_tables = 8
         rng = np.random.default_rng(5)
         batches = [
