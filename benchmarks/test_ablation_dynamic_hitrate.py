@@ -1,7 +1,7 @@
 """Ablation — dynamic (ScratchPipe) vs static cache hit rates.
 
-Figure 6 plots the *static* cache's lookup-level hit rate.  A design
-question DESIGN.md calls out is how the dynamic LRU cache's working-set
+Figure 6 plots the *static* cache's lookup-level hit rate.  The design
+question this ablation answers is how the dynamic LRU cache's working-set
 tracking compares against popularity pinning at equal capacity.  The honest
 comparison is on the same denominator, so both rates here are **unique-ID**
 rates per batch (each distinct row counted once): that is what determines

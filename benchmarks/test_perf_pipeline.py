@@ -43,7 +43,7 @@ from repro.core.pipeline import HazardMonitor, ScratchPipePipeline
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import ModelConfig
-from repro.systems.scratchpipe_system import make_scratchpads
+from repro.core.scratchpad import make_scratchpads
 from repro.testing.oracles import (
     PerCycleUniquePipeline,
     ScanHazardMonitor,

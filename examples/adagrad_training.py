@@ -15,8 +15,8 @@ import numpy as np
 
 from repro import DLRMModel, make_dataset, required_slots, tiny_config
 from repro.core import HazardMonitor
-from repro.model import AdagradOptimizer
-from repro.systems import AdagradScratchPipeRun
+from repro.model import AdagradOptimizer, augment_tables, split_tables
+from repro.systems import ScratchPipeTrainingRun
 
 NUM_BATCHES = 24
 LR = 0.05
@@ -39,18 +39,19 @@ def main() -> None:
                   for i in range(NUM_BATCHES)]
 
     # Pipelined run with a deliberately tight cache: rows (and their
-    # accumulators) constantly evict to CPU and return.
+    # accumulators, the last column of each augmented table) constantly
+    # evict to CPU and return.
     init = DLRMModel.initialise(config, seed=11)
-    run = AdagradScratchPipeRun(
+    run = ScratchPipeTrainingRun(
         config=config,
-        weight_tables=[t.weights.copy() for t in init.tables],
+        cpu_tables=augment_tables([t.weights for t in init.tables]),
         dense_network=init.dense_network,
         num_slots=required_slots(config, window_batches=6),
-        lr=LR,
+        optimizer=AdagradOptimizer(lr=LR, state_dtype=np.float32),
         monitor=HazardMonitor(strict=True),
     )
     result = run.run(dataset)
-    weights, accumulators = run.final_state()
+    weights, accumulators = split_tables(run.final_tables())
 
     weights_match = all(
         np.array_equal(weights[t], reference.tables[t].weights)

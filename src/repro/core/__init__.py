@@ -26,10 +26,11 @@ from repro.core.replacement import (
 from repro.core.scratchpad import (
     GpuScratchpad,
     TablePlan,
+    make_scratchpads,
     required_slots,
     worst_case_storage_bytes,
 )
-from repro.core.strawman import StrawmanCache, make_strawman_scratchpads
+from repro.core.strawman import StrawmanCache
 from repro.core.timeline import (
     CycleOccupancy,
     PipelineTimeline,
@@ -60,10 +61,10 @@ __all__ = [
     "make_policy",
     "GpuScratchpad",
     "TablePlan",
+    "make_scratchpads",
     "required_slots",
     "worst_case_storage_bytes",
     "StrawmanCache",
-    "make_strawman_scratchpads",
     "CycleOccupancy",
     "PipelineTimeline",
     "render_ascii",

@@ -14,7 +14,7 @@ scratchpad can run in two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -320,6 +320,43 @@ def per_table(value, num_tables: int, what: str) -> tuple:
             f"({num_tables}), got {len(values)}"
         )
     return values
+
+
+def make_scratchpads(
+    config: ModelConfig,
+    num_slots: Union[int, Sequence[int]],
+    policy_name: Union[str, Sequence[str]] = "lru",
+    with_storage: bool = False,
+    past_window: int = 3,
+    dim: Union[int, Sequence[int], None] = None,
+) -> List[GpuScratchpad]:
+    """Build one scratchpad per table.
+
+    ``num_slots``, ``policy_name`` and ``dim`` accept either a uniform
+    scalar or a per-table sequence — the heterogeneous-cache path sizes
+    each table's Hit-Map/Hold-mask/policy independently.  ``dim`` is the
+    Storage row width, ``config.embedding_dim`` by default; a functional
+    run passes the width of the CPU tables it serves, which may carry
+    optimiser state after the embedding columns.  The sequential
+    straw-man uses ``past_window=0``.
+    """
+    slots = per_table(num_slots, config.num_tables, "num_slots")
+    policies = per_table(policy_name, config.num_tables, "policy_name")
+    dims = per_table(
+        config.embedding_dim if dim is None else dim, config.num_tables, "dim"
+    )
+    return [
+        GpuScratchpad(
+            num_slots=slots[table],
+            num_rows=config.rows_per_table,
+            dim=dims[table],
+            past_window=past_window,
+            policy_name=policies[table],
+            with_storage=with_storage,
+            table_index=table,
+        )
+        for table in range(config.num_tables)
+    ]
 
 
 def required_slots(config: ModelConfig, window_batches: int = 6) -> int:

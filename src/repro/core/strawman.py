@@ -13,45 +13,16 @@ ScratchPipe removes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ScratchpadConfigError
 from repro.core.hitmap import EMPTY
 from repro.core.pipeline import BatchCacheStats, PipelineTrainer
-from repro.core.scratchpad import GpuScratchpad, TablePlan, per_table
+from repro.core.scratchpad import GpuScratchpad, TablePlan
 from repro.data.trace import MiniBatch
 from repro.model.config import ModelConfig
-
-
-def make_strawman_scratchpads(
-    config: ModelConfig,
-    num_slots,
-    policy_name="lru",
-    with_storage: bool = False,
-) -> List[GpuScratchpad]:
-    """Build per-table scratchpads configured for sequential execution.
-
-    ``num_slots``/``policy_name`` accept a uniform scalar or a per-table
-    sequence (the heterogeneous-cache path).  The hold-mask past window is
-    fixed at 0 — sequential execution has no concurrent batches to
-    protect, and a larger window would only restrict victim choice.
-    """
-    slots = per_table(num_slots, config.num_tables, "num_slots")
-    policies = per_table(policy_name, config.num_tables, "policy_name")
-    return [
-        GpuScratchpad(
-            num_slots=slots[table],
-            num_rows=config.rows_per_table,
-            dim=config.embedding_dim,
-            past_window=0,
-            policy_name=policies[table],
-            with_storage=with_storage,
-            table_index=table,
-        )
-        for table in range(config.num_tables)
-    ]
 
 
 @dataclass
@@ -60,8 +31,10 @@ class StrawmanCache:
 
     Args:
         config: Model geometry.
-        scratchpads: Per-table caches (``past_window`` should be 0; larger
-            windows are legal but needlessly restrict victim choice).
+        scratchpads: Per-table caches, built by
+            :func:`~repro.core.scratchpad.make_scratchpads` with
+            ``past_window=0`` (larger windows are legal but needlessly
+            restrict victim choice).
         cpu_tables: Master tables for functional runs, or ``None`` for
             metadata-only statistics.
         trainer: Train-stage callback, or ``None``.

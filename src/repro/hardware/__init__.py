@@ -1,7 +1,7 @@
 """Hardware substrate: device specs, memory/link cost models, timing, energy.
 
 This package is the analytic stand-in for the paper's Xeon + V100 + PCIe
-testbed (see DESIGN.md, substitution table).
+testbed; :mod:`repro.hardware.spec` documents the calibration.
 """
 
 from repro.hardware.energy import CPU, GPU, EnergyModel, EnergySlice

@@ -16,7 +16,8 @@ executed by a PyTorch ``EmbeddingBag``, are latency-bound rather than
 bandwidth-bound.  The ``random_access_efficiency`` fields below encode that
 gap and are documented next to each device.  Absolute latencies produced by
 this model are expected to deviate from the authors' testbed, but orderings,
-ratios and crossovers are preserved (see DESIGN.md Section 6).
+ratios and crossovers are preserved (the figure tests under ``benchmarks/``
+assert them).
 """
 
 from __future__ import annotations

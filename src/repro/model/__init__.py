@@ -1,6 +1,12 @@
 """Numpy DLRM substrate: embeddings, MLPs, interaction, loss, optimiser."""
 
-from repro.model.adagrad import AdagradOptimizer, DenseAdagrad, SparseAdagrad
+from repro.model.adagrad import (
+    AdagradOptimizer,
+    DenseAdagrad,
+    SparseAdagrad,
+    augment_tables,
+    split_tables,
+)
 from repro.model.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from repro.model.config import ELEMENT_BYTES, ModelConfig, mlp_flops, tiny_config
 from repro.model.dlrm import DLRMModel, DenseNetwork
@@ -23,6 +29,8 @@ __all__ = [
     "AdagradOptimizer",
     "DenseAdagrad",
     "SparseAdagrad",
+    "augment_tables",
+    "split_tables",
     "checkpoint_bytes",
     "load_checkpoint",
     "save_checkpoint",

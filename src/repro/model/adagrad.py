@@ -2,26 +2,77 @@
 
 Production DLRM training commonly pairs SGD on the dense parameters with
 (row-wise) Adagrad on the embeddings.  The paper evaluates plain SGD; this
-module is provided as the natural extension for users reproducing
-production-style runs on the *reference* (single-memory-space) model.
+module is the natural extension for production-style runs.
 
-Caveat for cached systems: Adagrad keeps a per-row accumulator that must
-migrate together with the row between CPU table and GPU scratchpad.  The
-functional cached trainers in this repository implement SGD only (as the
-paper does); co-locating optimiser state in the scratchpad is listed as
-follow-up work in DESIGN.md.
+On the reference (single-memory-space) model, :class:`SparseAdagrad` keeps
+each table's accumulators in their own array.  Under a cached system the
+per-row accumulator must migrate together with the row between the CPU
+table and the GPU scratchpad, or post-eviction updates would restart it.
+:func:`augment_tables` therefore co-locates it: every row gains one
+float32 accumulator column, which Collect, Insert and write-back carry like
+any other column, and :meth:`AdagradOptimizer.update_rows` updates both
+halves in the [Train] stage.  :func:`rowwise_adagrad` is the one copy of
+the arithmetic both paths run, so a cached run with
+``AdagradOptimizer(state_dtype=np.float32)`` is bit-identical to the
+sequential reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ModelShapeError, ModelStateError, OptimizerConfigError
 from repro.model.embedding import EmbeddingTable
 from repro.model.mlp import MLP
+
+
+def rowwise_adagrad(
+    weights: np.ndarray,
+    accumulator: np.ndarray,
+    grads: np.ndarray,
+    lr: float,
+    eps: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One row-wise Adagrad step: ``(new_weights, new_accumulator)``.
+
+    Each row's accumulator grows by the mean squared gradient of the row,
+    and the row moves by ``lr / (sqrt(accumulator) + eps)`` times its
+    gradient.  The accumulator's dtype is the state precision.
+
+    Args:
+        weights: ``(n, dim)`` rows to update.
+        accumulator: ``(n,)`` state of those rows.
+        grads: ``(n, dim)`` coalesced gradients of those rows.
+        lr: Learning rate.
+        eps: Denominator guard.
+    """
+    dtype = accumulator.dtype
+    accumulator = accumulator + (grads.astype(dtype) ** 2).mean(axis=1)
+    scale = np.array(lr, dtype=dtype) / (np.sqrt(accumulator) + eps)
+    return weights - (scale[:, None] * grads).astype(weights.dtype), accumulator
+
+
+def augment_tables(tables: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Append a zeroed float32 accumulator column to each weight table."""
+    out = []
+    for table in tables:
+        if table.ndim != 2:
+            raise ModelShapeError(f"expected (rows, dim) table, got {table.shape}")
+        aux = np.zeros((table.shape[0], 1), dtype=np.float32)
+        out.append(np.concatenate([table.astype(np.float32), aux], axis=1))
+    return out
+
+
+def split_tables(
+    augmented: Sequence[np.ndarray],
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Split augmented tables back into ``(weights, accumulators)``."""
+    weights = [t[:, :-1].copy() for t in augmented]
+    accumulators = [t[:, -1].copy() for t in augmented]
+    return weights, accumulators
 
 
 @dataclass
@@ -34,7 +85,7 @@ class SparseAdagrad:
     Attributes:
         state_dtype: Accumulator precision.  Defaults to float64; the
             scratchpad-resident variant stores the accumulator as a float32
-            column alongside the row (``systems.adagrad_scratchpipe``), so
+            column alongside the row (:func:`augment_tables`), so
             equivalence tests pass ``np.float32`` to make the reference
             compute in the identical precision.
     """
@@ -61,13 +112,10 @@ class SparseAdagrad:
             raise ModelShapeError("ids/grads length mismatch")
         if unique_ids.size == 0:
             return
-        row_norm_sq = (grads.astype(self.state_dtype) ** 2).mean(axis=1)
-        self._state[unique_ids] += row_norm_sq
-        scale = (
-            np.array(self.lr, dtype=self.state_dtype)
-            / (np.sqrt(self._state[unique_ids]) + self.eps)
+        weights[unique_ids], self._state[unique_ids] = rowwise_adagrad(
+            weights[unique_ids], self._state[unique_ids], grads,
+            self.lr, self.eps,
         )
-        weights[unique_ids] -= (scale[:, None] * grads).astype(weights.dtype)
 
     def accumulator(self, ids: np.ndarray) -> np.ndarray:
         """Read the per-row accumulators (for tests/inspection)."""
@@ -154,3 +202,22 @@ class AdagradOptimizer:
         )
         self._sparse[key].update(table.weights, unique_ids, grads)
         return unique_ids
+
+    def update_rows(self, rows: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """Row-wise Adagrad of scratchpad rows that carry their accumulator.
+
+        ``rows`` is ``(n, dim + 1)``, laid out by :func:`augment_tables`:
+        the embedding, then its accumulator column.  Updates ``rows`` in
+        place and returns it.  The column's float32 is the state precision,
+        whatever :attr:`state_dtype` says.
+        """
+        dim = grads.shape[1]
+        if rows.shape[1] != dim + 1:
+            raise ModelShapeError(
+                f"row-wise Adagrad needs {dim + 1}-wide rows (embedding + "
+                f"accumulator, see augment_tables), got {rows.shape[1]}"
+            )
+        rows[:, :dim], rows[:, dim] = rowwise_adagrad(
+            rows[:, :dim], rows[:, dim], grads, self.lr, self.eps
+        )
+        return rows

@@ -56,3 +56,7 @@ class SGD:
     ) -> None:
         """Apply already-coalesced gradients to a raw weight array in place."""
         weights[unique_ids] -= self.lr * grads
+
+    def update_rows(self, rows: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """Updated copies of scratchpad rows, given their coalesced gradients."""
+        return rows - self.lr * grads

@@ -1,11 +1,5 @@
 """End-to-end training-system design points (Section VI's four systems)."""
 
-from repro.systems.adagrad_scratchpipe import (
-    AdagradScratchPipeRun,
-    AdagradScratchPipeTrainer,
-    augment_tables,
-    split_tables,
-)
 from repro.systems.base import (
     CPU_EMB_BACKWARD,
     CPU_EMB_FORWARD,
@@ -18,7 +12,7 @@ from repro.systems.base import (
     TrainingSystem,
     batch_access_stats,
 )
-from repro.systems.hybrid import HybridSystem, HybridTrainer
+from repro.systems.hybrid import HybridSystem
 from repro.systems.multigpu import MultiGpuSystem
 from repro.systems.overlapped_hybrid import OverlappedHybridSystem
 from repro.systems.multigpu_scratchpipe import (
@@ -30,7 +24,6 @@ from repro.systems.scratchpipe_system import (
     ScratchPipeSystem,
     ScratchPipeTrainer,
     ScratchPipeTrainingRun,
-    make_scratchpads,
 )
 from repro.systems.metrics import (
     DegenerateLatencyError,
@@ -48,10 +41,6 @@ from repro.systems.static_cache import (
 from repro.systems.strawman_system import StrawmanSystem
 
 __all__ = [
-    "AdagradScratchPipeRun",
-    "AdagradScratchPipeTrainer",
-    "augment_tables",
-    "split_tables",
     "CPU_EMB_BACKWARD",
     "CPU_EMB_FORWARD",
     "GPU_GROUP",
@@ -63,7 +52,6 @@ __all__ = [
     "TrainingSystem",
     "batch_access_stats",
     "HybridSystem",
-    "HybridTrainer",
     "MultiGpuSystem",
     "OverlappedHybridSystem",
     "MultiGpuScratchPipeSystem",
@@ -72,7 +60,6 @@ __all__ = [
     "ScratchPipeSystem",
     "ScratchPipeTrainer",
     "ScratchPipeTrainingRun",
-    "make_scratchpads",
     "DegenerateLatencyError",
     "ThroughputReport",
     "speedup",

@@ -10,14 +10,9 @@ whole paper sets out to remove.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro.data.trace import MiniBatch
 from repro.model.config import ModelConfig
-from repro.model.dlrm import DLRMModel
 from repro.systems.base import (
     CPU_EMB_BACKWARD,
     CPU_EMB_FORWARD,
@@ -95,23 +90,3 @@ class HybridSystem(TrainingSystem):
             result.iteration_times.append(breakdown.total)
             result.energies.append(breakdown.sequential_energy(self.energy_model))
         return result
-
-
-@dataclass
-class HybridTrainer:
-    """Functional reference: sequential training with tables in "CPU memory".
-
-    This is algorithmically identical to :class:`repro.model.dlrm.DLRMModel`
-    — exposed as a system-shaped wrapper so equivalence tests can treat all
-    designs uniformly.
-    """
-
-    model: DLRMModel
-
-    def train_batch(self, batch: MiniBatch) -> float:
-        """One sequential training iteration; returns the loss."""
-        return self.model.train_step(batch)
-
-    def table_weights(self) -> List[np.ndarray]:
-        """Live views of the master table weights."""
-        return [t.weights for t in self.model.tables]

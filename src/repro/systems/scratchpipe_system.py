@@ -14,7 +14,7 @@ array — the paper's "training at GPU memory speed".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,10 +32,11 @@ from repro.core.scratchpad import (
     GpuScratchpad,
     TablePlan,
     hazard_floor_slots,
-    per_table,
+    make_scratchpads,
 )
 from repro.data.trace import MiniBatch
 from repro.hardware.energy import CPU, GPU, EnergySlice
+from repro.model.adagrad import AdagradOptimizer
 from repro.model.config import ModelConfig
 from repro.model.dlrm import DenseNetwork
 from repro.model.embedding import coalesce_gradients, duplicate_gradients
@@ -86,35 +87,6 @@ def _pipelined_cycle_times(
         for batch_index in range(max(0, drain_start), num_batches):
             cycle_of_batch[batch_index] = steady
     return cycle_of_batch
-
-
-def make_scratchpads(
-    config: ModelConfig,
-    num_slots: Union[int, Sequence[int]],
-    policy_name: Union[str, Sequence[str]] = "lru",
-    with_storage: bool = False,
-    past_window: int = 3,
-) -> List[GpuScratchpad]:
-    """Build one pipelined-mode scratchpad per table.
-
-    ``num_slots`` and ``policy_name`` accept either a uniform scalar or a
-    per-table sequence — the heterogeneous-cache path sizes each table's
-    Hit-Map/Hold-mask/policy independently.
-    """
-    slots = per_table(num_slots, config.num_tables, "num_slots")
-    policies = per_table(policy_name, config.num_tables, "policy_name")
-    return [
-        GpuScratchpad(
-            num_slots=slots[table],
-            num_rows=config.rows_per_table,
-            dim=config.embedding_dim,
-            past_window=past_window,
-            policy_name=policies[table],
-            with_storage=with_storage,
-            table_index=table,
-        )
-        for table in range(config.num_tables)
-    ]
 
 
 @dataclass
@@ -274,15 +246,7 @@ class ScratchPipeSystem(TrainingSystem):
             monitor: Optional :class:`HazardMonitor` to attach, verifying
                 hazard freedom alongside the statistics run.
         """
-        pipeline = ScratchPipePipeline(
-            config=self.config,
-            scratchpads=self._reusable_scratchpads(),
-            dataset_batches=dataset_batches,
-            future_window=self.future_window,
-            monitor=monitor,
-            executor=self.executor,
-        )
-        return pipeline.run(num_batches).cache_stats
+        return list(self.stream_cache_stats(dataset_batches, num_batches, monitor))
 
     def stream_cache_stats(
         self,
@@ -393,6 +357,12 @@ def plan_lookups(
     return positions, scratchpad.read_slots(plan.slots)
 
 
+#: Optimisers the functional trainer accepts: each applies its dense step
+#: through ``DenseNetwork.step`` and its embedding step through
+#: ``update_rows(rows, grads)`` on the plan's Storage rows.
+RowOptimizer = Union[SGD, AdagradOptimizer]
+
+
 @dataclass
 class ScratchPipeTrainer:
     """Functional [Train] stage: embedding + dense training on the scratchpad.
@@ -403,11 +373,16 @@ class ScratchPipeTrainer:
     by position, and the updated rows go back through the same slots.  If
     the plan missed any ID the position lookup would raise, so a completed
     run *is* the always-hit guarantee.
+
+    Pooling reads the first ``embedding_dim`` columns of each row; any
+    further columns are optimiser state that
+    ``optimizer.update_rows`` keeps (row-wise Adagrad's co-located
+    accumulator, see :func:`repro.model.adagrad.augment_tables`).
     """
 
     config: ModelConfig
     dense_network: DenseNetwork
-    optimizer: SGD = field(default_factory=SGD)
+    optimizer: RowOptimizer = field(default_factory=SGD)
     losses: List[float] = field(default_factory=list)
 
     def train(
@@ -420,12 +395,14 @@ class ScratchPipeTrainer:
         if batch.dense is None or batch.labels is None:
             raise SystemInputError("functional training requires dense inputs/labels")
         cfg = self.config
+        dim = cfg.embedding_dim
         lookups = [
             plan_lookups(plans[t], scratchpads[t], batch.sparse_ids[t], t)
             for t in range(cfg.num_tables)
         ]
         pooled = np.stack(
-            [rows[positions].sum(axis=1) for positions, rows in lookups], axis=1
+            [rows[positions][..., :dim].sum(axis=1) for positions, rows in lookups],
+            axis=1,
         )
 
         self.dense_network.forward(batch.dense, pooled)
@@ -437,10 +414,10 @@ class ScratchPipeTrainer:
         for t, (positions, rows) in enumerate(lookups):
             duplicated = duplicate_gradients(grad_pooled[:, t, :], positions.shape[1])
             grads = coalesce_gradients(
-                positions, duplicated.reshape(-1, cfg.embedding_dim), len(rows)
+                positions, duplicated.reshape(-1, dim), len(rows)
             )
             scratchpads[t].write_slots(
-                plans[t].slots, rows - self.optimizer.lr * grads
+                plans[t].slots, self.optimizer.update_rows(rows, grads)
             )
         self.dense_network.step(self.optimizer)
         self.losses.append(loss)
@@ -456,26 +433,38 @@ class ScratchPipeTrainingRun:
     After :meth:`run`, :meth:`final_tables` returns the authoritative
     weights (CPU master with the still-cached scratchpad rows merged back),
     which equivalence tests compare against sequential baseline training.
+
+    ``past_window`` only sizes the scratchpads' hold masks, so it is an
+    init-only argument; ``scratchpads[t].past_window`` holds it afterwards.
+
+    Storage rows are as wide as the CPU tables.  For row-wise Adagrad,
+    pass ``augment_tables(weights)`` and
+    ``AdagradOptimizer(state_dtype=np.float32)``: each row's accumulator
+    rides in its last column through every fill and write-back, and
+    ``split_tables(run.final_tables())`` returns weights and accumulators.
     """
 
     config: ModelConfig
     cpu_tables: List[np.ndarray]
     dense_network: DenseNetwork
     num_slots: Union[int, Sequence[int]]
-    optimizer: SGD = field(default_factory=SGD)
+    optimizer: RowOptimizer = field(default_factory=SGD)
     policy_name: Union[str, Sequence[str]] = "lru"
     future_window: int = 2
     monitor: Optional[HazardMonitor] = None
     executor: str = "serial"
+    past_window: InitVar[int] = 3
     scratchpads: List[GpuScratchpad] = field(init=False)
     trainer: ScratchPipeTrainer = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, past_window: int) -> None:
         self.scratchpads = make_scratchpads(
             self.config,
             self.num_slots,
             policy_name=self.policy_name,
             with_storage=True,
+            past_window=past_window,
+            dim=[table.shape[1] for table in self.cpu_tables],
         )
         self.trainer = ScratchPipeTrainer(
             config=self.config,
@@ -490,13 +479,14 @@ class ScratchPipeTrainingRun:
         config: ModelConfig,
         cpu_tables: List[np.ndarray],
         dense_network: DenseNetwork,
-        optimizer: Optional[SGD] = None,
+        optimizer: Optional[RowOptimizer] = None,
         monitor: Optional[HazardMonitor] = None,
     ) -> "ScratchPipeTrainingRun":
         """Functional training run described by a ``SystemSpec``.
 
         Resolves the (possibly per-table heterogeneous) cache spec into
-        independently sized storage-backed scratchpads.
+        independently sized storage-backed scratchpads, with the spec's
+        hold and lookahead windows and executor.
         """
         if spec.cache is None:
             raise InvalidSystemSpecError(
@@ -513,6 +503,7 @@ class ScratchPipeTrainingRun:
             future_window=spec.pipeline.future_window,
             monitor=monitor,
             executor=spec.pipeline.executor,
+            past_window=spec.scratchpad.past_window,
         )
 
     def run(self, dataset_batches: object, num_batches: Optional[int] = None):

@@ -11,8 +11,8 @@ from typing import Optional, Tuple
 
 from repro.api.registry import register_system
 from repro.api.specs import InvalidSystemSpecError, SystemSpec
-from repro.core.scratchpad import GpuScratchpad, hazard_floor_slots
-from repro.core.strawman import StrawmanCache, make_strawman_scratchpads
+from repro.core.scratchpad import hazard_floor_slots, make_scratchpads
+from repro.core.strawman import StrawmanCache
 from repro.model.config import ModelConfig
 from repro.systems.base import IterationBreakdown, SystemRunResult, TrainingSystem
 from repro.systems.stages import cache_stage_times
@@ -58,10 +58,11 @@ class StrawmanSystem(TrainingSystem):
         # Like ScratchPipeSystem, reuse the scratchpads (and their dense
         # Hit-Map indices) across run_trace calls, resetting in place.
         if self._scratchpads is None:
-            self._scratchpads = make_strawman_scratchpads(
+            self._scratchpads = make_scratchpads(
                 self.config, self.table_slots,
                 policy_name=self.table_policies,
                 with_storage=self.spec.scratchpad.with_storage,
+                past_window=0,
             )
         else:
             for scratchpad in self._scratchpads:

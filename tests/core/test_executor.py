@@ -18,7 +18,7 @@ from repro.core.executor import (
     registered_executors,
 )
 from repro.core.pipeline import HazardError, HazardMonitor, ScratchPipePipeline
-from repro.core.scratchpad import required_slots
+from repro.core.scratchpad import make_scratchpads, required_slots
 from repro.data.trace import make_dataset
 from repro.errors import (
     ExecutorConfigError,
@@ -28,10 +28,7 @@ from repro.errors import (
 from repro.model.config import tiny_config
 from repro.model.dlrm import DLRMModel, DenseNetwork
 from repro.model.optimizer import SGD
-from repro.systems.scratchpipe_system import (
-    ScratchPipeTrainingRun,
-    make_scratchpads,
-)
+from repro.systems.scratchpipe_system import ScratchPipeTrainingRun
 from repro.testing.faults import FaultSpec, InjectedFaultError, injected_faults
 
 

@@ -21,7 +21,7 @@ from repro.core.pipeline import HazardMonitor, ScratchPipePipeline
 from repro.core.scratchpad import GpuScratchpad, required_slots
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.model.config import tiny_config
-from repro.systems.scratchpipe_system import make_scratchpads
+from repro.core.scratchpad import make_scratchpads
 from repro.testing.oracles import PerCycleUniquePipeline, ScanHazardMonitor
 
 

@@ -8,7 +8,7 @@ from repro.core.pipeline import HazardMonitor, ScratchPipePipeline
 from repro.core.scratchpad import required_slots
 from repro.data.trace import make_dataset
 from repro.model.config import tiny_config
-from repro.systems.scratchpipe_system import make_scratchpads
+from repro.core.scratchpad import make_scratchpads
 
 
 @pytest.fixture

@@ -16,12 +16,12 @@ import pytest
 
 from repro.core.pipeline import HazardError, HazardMonitor, ScratchPipePipeline
 from repro.core.replacement import CachePressureError
-from repro.core.scratchpad import GpuScratchpad, required_slots
+from repro.core.scratchpad import GpuScratchpad, make_scratchpads, required_slots
 from repro.data.trace import make_dataset
 from repro.model.config import tiny_config
 from repro.model.dlrm import DLRMModel, DenseNetwork
 from repro.model.optimizer import SGD
-from repro.systems.scratchpipe_system import ScratchPipeTrainingRun, make_scratchpads
+from repro.systems.scratchpipe_system import ScratchPipeTrainingRun
 
 #: 1: no pool; 2 and 3: uneven contiguous shards; 8: clamped to one per table.
 WORKER_COUNTS = ("1", "2", "3", "8")

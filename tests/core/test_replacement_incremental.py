@@ -212,7 +212,7 @@ class TestPipelineOracleEquivalence:
         from repro.core.pipeline import HazardMonitor, ScratchPipePipeline
         from repro.data.trace import make_dataset
         from repro.model.config import tiny_config
-        from repro.systems.scratchpipe_system import make_scratchpads
+        from repro.core.scratchpad import make_scratchpads
 
         cfg = tiny_config(
             rows_per_table=500, batch_size=6, lookups_per_table=3, num_tables=2

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.strawman import StrawmanCache, make_strawman_scratchpads
+from repro.core.scratchpad import make_scratchpads
+from repro.core.strawman import StrawmanCache
 from repro.data.trace import make_dataset
 from repro.model.config import tiny_config
 
@@ -21,12 +22,21 @@ def dataset(cfg):
 
 class TestConstruction:
     def test_scratchpads_use_zero_past_window(self, cfg):
-        pads = make_strawman_scratchpads(cfg, num_slots=16)
+        """The straw-man system pins the hold window at 0, whatever the
+        spec's scratchpad section says."""
+        from repro.api import CacheSpec, ScratchpadSpec, SystemSpec
+        from repro.hardware.spec import DEFAULT_HARDWARE
+        from repro.systems.strawman_system import StrawmanSystem
+
+        spec = SystemSpec(system="strawman", cache=CacheSpec(fraction=0.5),
+                          scratchpad=ScratchpadSpec(past_window=5))
+        system = StrawmanSystem(cfg, DEFAULT_HARDWARE, spec=spec)
+        pads = system._make_cache().scratchpads
         assert all(p.past_window == 0 for p in pads)
         assert len(pads) == cfg.num_tables
 
     def test_table_count_validated(self, cfg):
-        pads = make_strawman_scratchpads(cfg, num_slots=16)[:1]
+        pads = make_scratchpads(cfg, 16, past_window=0)[:1]
         with pytest.raises(ValueError):
             StrawmanCache(config=cfg, scratchpads=pads)
 
@@ -34,7 +44,7 @@ class TestConstruction:
 class TestMetadataRun:
     def test_stats_shape(self, cfg, dataset):
         cache = StrawmanCache(
-            config=cfg, scratchpads=make_strawman_scratchpads(cfg, 64)
+            config=cfg, scratchpads=make_scratchpads(cfg, 64, past_window=0)
         )
         stats = cache.run(dataset)
         assert len(stats) == 16
@@ -42,14 +52,14 @@ class TestMetadataRun:
 
     def test_high_locality_hits_accumulate(self, cfg, dataset):
         cache = StrawmanCache(
-            config=cfg, scratchpads=make_strawman_scratchpads(cfg, 64)
+            config=cfg, scratchpads=make_scratchpads(cfg, 64, past_window=0)
         )
         stats = cache.run(dataset)
         assert np.mean([s.hit_rate for s in stats[8:]]) > 0.3
 
     def test_partial_run_validation(self, cfg, dataset):
         cache = StrawmanCache(
-            config=cfg, scratchpads=make_strawman_scratchpads(cfg, 64)
+            config=cfg, scratchpads=make_scratchpads(cfg, 64, past_window=0)
         )
         with pytest.raises(ValueError):
             cache.run(dataset, num_batches=0)
@@ -58,7 +68,7 @@ class TestMetadataRun:
         # With a cache smaller than the working set, steady state must show
         # evictions (write-backs of dirty victims).
         cache = StrawmanCache(
-            config=cfg, scratchpads=make_strawman_scratchpads(cfg, 14)
+            config=cfg, scratchpads=make_scratchpads(cfg, 14, past_window=0)
         )
         stats = cache.run(dataset)
         assert sum(s.writebacks for s in stats[4:]) > 0
@@ -76,7 +86,7 @@ class TestFunctionalRun:
         originals = [t.copy() for t in cpu_tables]
         cache = StrawmanCache(
             config=cfg,
-            scratchpads=make_strawman_scratchpads(cfg, 14, with_storage=True),
+            scratchpads=make_scratchpads(cfg, 14, with_storage=True, past_window=0),
             cpu_tables=cpu_tables,
         )
         cache.run(dataset)

@@ -83,7 +83,7 @@ class TestPipelineCompatibility:
     def test_trace_file_drives_pipeline(self, cfg, tmp_path):
         """A saved trace is a drop-in dataset for the ScratchPipe pipeline."""
         from repro.core.pipeline import ScratchPipePipeline
-        from repro.systems.scratchpipe_system import make_scratchpads
+        from repro.core.scratchpad import make_scratchpads
 
         dataset = make_dataset(cfg, "medium", seed=9, num_batches=8)
         path = tmp_path / "t.npz"

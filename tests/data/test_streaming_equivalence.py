@@ -132,7 +132,7 @@ class TestPipelineStreaming:
         """The pipeline's streaming twin yields exactly run()'s stats."""
         from repro.core.pipeline import ScratchPipePipeline
         from repro.core.scratchpad import required_slots
-        from repro.systems.scratchpipe_system import make_scratchpads
+        from repro.core.scratchpad import make_scratchpads
 
         source = build_scenario(
             cfg, SCENARIO_PRESETS["fast-drift"], seed=3, num_batches=12

@@ -1,19 +1,21 @@
-"""Tests for Adagrad state co-location (repro.systems.adagrad_scratchpipe)."""
+"""Tests for Adagrad state co-location: row-wise Adagrad through
+:class:`repro.systems.scratchpipe_system.ScratchPipeTrainingRun`, with each
+row's accumulator in the last column of its augmented table."""
 
 import numpy as np
 import pytest
 
+from repro.api import CacheSpec, PipelineSpec, ScratchpadSpec, SystemSpec
 from repro.core.pipeline import HazardMonitor
+from repro.core.replacement import CachePressureError
 from repro.core.scratchpad import required_slots
 from repro.data.trace import make_dataset
-from repro.model.adagrad import AdagradOptimizer
+from repro.model.adagrad import AdagradOptimizer, augment_tables, split_tables
 from repro.model.config import tiny_config
 from repro.model.dlrm import DLRMModel, DenseNetwork
-from repro.systems.adagrad_scratchpipe import (
-    AdagradScratchPipeRun,
-    AdagradScratchPipeTrainer,
-    augment_tables,
-    split_tables,
+from repro.systems.scratchpipe_system import (
+    ScratchPipeTrainer,
+    ScratchPipeTrainingRun,
 )
 
 NUM_BATCHES = 16
@@ -23,6 +25,23 @@ NUM_BATCHES = 16
 def cfg():
     return tiny_config(rows_per_table=300, batch_size=8, lookups_per_table=3,
                        num_tables=2)
+
+
+def adagrad_run(cfg, init, num_slots, lr, monitor=None):
+    """A pipelined row-wise Adagrad run from ``init``'s weights."""
+    return ScratchPipeTrainingRun(
+        config=cfg,
+        cpu_tables=augment_tables([t.weights for t in init.tables]),
+        dense_network=init.dense_network,
+        num_slots=num_slots,
+        optimizer=AdagradOptimizer(lr=lr, state_dtype=np.float32),
+        monitor=monitor,
+    )
+
+
+def adagrad_spec(fraction, **sections):
+    return SystemSpec(system="scratchpipe", cache=CacheSpec(fraction=fraction),
+                      **sections)
 
 
 class TestAugmentation:
@@ -45,7 +64,17 @@ class TestTrainerValidation:
     def test_positive_lr(self, cfg):
         dense = DenseNetwork.initialise(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            AdagradScratchPipeTrainer(config=cfg, dense_network=dense, lr=0.0)
+            ScratchPipeTrainer(config=cfg, dense_network=dense,
+                               optimizer=AdagradOptimizer(lr=0.0))
+
+    def test_rows_without_accumulator_rejected(self):
+        """Row-wise Adagrad on plain (un-augmented) rows fails by name."""
+        from repro.errors import ModelShapeError
+
+        optimizer = AdagradOptimizer(state_dtype=np.float32)
+        rows = np.ones((3, 4), dtype=np.float32)
+        with pytest.raises(ModelShapeError, match="augment_tables"):
+            optimizer.update_rows(rows, np.ones((3, 4), dtype=np.float32))
 
 
 class TestTrainerPlanInvariant:
@@ -68,17 +97,52 @@ class TestTrainerPlanInvariant:
             dense=np.zeros((2, cfg.num_dense_features), dtype=np.float32),
             labels=np.zeros(2, dtype=np.float32),
         )
-        trainer = AdagradScratchPipeTrainer(
+        trainer = ScratchPipeTrainer(
             config=cfg,
             dense_network=DenseNetwork.initialise(
                 cfg, np.random.default_rng(0)
             ),
+            optimizer=AdagradOptimizer(state_dtype=np.float32),
         )
         with pytest.raises(PlanMismatchError,
                            match="plan/batch mismatch for table 0"):
             trainer.train(batch, [plan], [pad])
         assert np.all(pad.storage == 1.0)
         assert trainer.losses == []
+
+
+class TestFromSpec:
+    def _run(self, cfg, spec):
+        init = DLRMModel.initialise(cfg, seed=3)
+        return ScratchPipeTrainingRun.from_spec(
+            spec, cfg,
+            augment_tables([t.weights for t in init.tables]),
+            init.dense_network,
+            optimizer=AdagradOptimizer(lr=0.05, state_dtype=np.float32),
+        )
+
+    def test_honours_past_window(self, cfg):
+        run = self._run(cfg, adagrad_spec(
+            0.5, scratchpad=ScratchpadSpec(past_window=5)
+        ))
+        assert [pad.past_window for pad in run.scratchpads] == [5, 5]
+
+    def test_carries_executor(self, cfg):
+        spec = adagrad_spec(0.5, pipeline=PipelineSpec(executor="overlapped"))
+        run = self._run(cfg, spec)
+        assert run.executor == spec.pipeline.executor
+
+    def test_storage_carries_accumulator_column(self, cfg):
+        run = self._run(cfg, adagrad_spec(0.5))
+        assert all(pad.storage.shape[1] == cfg.embedding_dim + 1
+                   for pad in run.scratchpads)
+
+    def test_undersized_cache_names_table(self, cfg):
+        dataset = make_dataset(cfg, "random", seed=5, num_batches=NUM_BATCHES,
+                               with_dense=True)
+        run = self._run(cfg, adagrad_spec(0.04))
+        with pytest.raises(CachePressureError, match=r"table 0, plan cycle"):
+            run.run(dataset)
 
 
 class TestEquivalence:
@@ -99,16 +163,10 @@ class TestEquivalence:
         reference, ref_losses = self._reference(cfg, dataset, seed=33, lr=0.05)
 
         init = DLRMModel.initialise(cfg, seed=33)
-        run = AdagradScratchPipeRun(
-            config=cfg,
-            weight_tables=[t.weights.copy() for t in init.tables],
-            dense_network=init.dense_network,
-            num_slots=required_slots(cfg),
-            lr=0.05,
-            monitor=HazardMonitor(strict=True),
-        )
+        run = adagrad_run(cfg, init, required_slots(cfg), lr=0.05,
+                          monitor=HazardMonitor(strict=True))
         result = run.run(dataset)
-        weights, accumulators = run.final_state()
+        weights, accumulators = split_tables(run.final_tables())
 
         for t in range(cfg.num_tables):
             assert np.array_equal(weights[t], reference.tables[t].weights)
@@ -126,17 +184,11 @@ class TestEquivalence:
         reference, _ = self._reference(cfg, dataset, seed=44, lr=0.05)
 
         init = DLRMModel.initialise(cfg, seed=44)
-        run = AdagradScratchPipeRun(
-            config=cfg,
-            weight_tables=[t.weights.copy() for t in init.tables],
-            dense_network=init.dense_network,
-            num_slots=required_slots(cfg, window_batches=6),
-            lr=0.05,
-            monitor=HazardMonitor(strict=True),
-        )
+        run = adagrad_run(cfg, init, required_slots(cfg, window_batches=6),
+                          lr=0.05, monitor=HazardMonitor(strict=True))
         run.run(dataset)
         # Evictions must actually have happened for this test to bite.
-        weights, accumulators = run.final_state()
+        weights, accumulators = split_tables(run.final_tables())
         for t in range(cfg.num_tables):
             assert np.array_equal(weights[t], reference.tables[t].weights)
             # Rows trained then evicted keep nonzero accumulators on CPU.
@@ -146,15 +198,9 @@ class TestEquivalence:
         dataset = make_dataset(cfg, "high", seed=29, num_batches=8,
                                with_dense=True)
         init = DLRMModel.initialise(cfg, seed=1)
-        run = AdagradScratchPipeRun(
-            config=cfg,
-            weight_tables=[t.weights.copy() for t in init.tables],
-            dense_network=init.dense_network,
-            num_slots=required_slots(cfg),
-            lr=0.05,
-        )
+        run = adagrad_run(cfg, init, required_slots(cfg), lr=0.05)
         run.run(dataset)
-        _, accumulators = run.final_state()
+        _, accumulators = split_tables(run.final_tables())
         touched = np.unique(np.concatenate([
             dataset.batch(i).table_ids(0) for i in range(8)
         ]))

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import HazardMonitor
-from repro.core.scratchpad import required_slots
-from repro.core.strawman import StrawmanCache, make_strawman_scratchpads
+from repro.core.scratchpad import make_scratchpads, required_slots
+from repro.core.strawman import StrawmanCache
 from repro.data.trace import make_dataset
 from repro.model.config import tiny_config
 from repro.model.dlrm import DLRMModel, DenseNetwork
@@ -175,9 +175,9 @@ class TestStrawmanEquivalence:
         )
         cache = StrawmanCache(
             config=cfg,
-            scratchpads=make_strawman_scratchpads(
+            scratchpads=make_scratchpads(
                 cfg, num_slots=required_slots(cfg, window_batches=2),
-                with_storage=True,
+                with_storage=True, past_window=0,
             ),
             cpu_tables=cpu_tables,
             trainer=trainer,

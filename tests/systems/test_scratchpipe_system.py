@@ -7,7 +7,7 @@ from repro.api import build_system, uniform_system_spec
 from repro.data.trace import make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import ModelConfig, tiny_config
-from repro.systems.scratchpipe_system import make_scratchpads
+from repro.core.scratchpad import make_scratchpads
 from repro.systems.stages import CACHE_STAGES
 
 
@@ -29,6 +29,30 @@ class TestConstruction:
         pads = make_scratchpads(cfg, 16)
         assert len(pads) == cfg.num_tables
         assert all(p.past_window == 3 for p in pads)
+        assert [p.table_index for p in pads] == [0, 1]
+
+    def test_make_scratchpads_per_table_width(self, cfg):
+        pads = make_scratchpads(cfg, 16, with_storage=True, dim=(4, 5))
+        assert [p.storage.shape for p in pads] == [(16, 4), (16, 5)]
+
+    def test_training_run_honours_spec_windows(self, cfg):
+        """``from_spec`` builds the spec's hold window, not the default."""
+        from repro.api import CacheSpec, PipelineSpec, ScratchpadSpec, SystemSpec
+        from repro.model.dlrm import DLRMModel
+        from repro.systems.scratchpipe_system import ScratchPipeTrainingRun
+
+        spec = SystemSpec(
+            system="scratchpipe", cache=CacheSpec(fraction=0.5),
+            scratchpad=ScratchpadSpec(past_window=5),
+            pipeline=PipelineSpec(future_window=1),
+        )
+        init = DLRMModel.initialise(cfg, seed=0)
+        run = ScratchPipeTrainingRun.from_spec(
+            spec, cfg, [t.weights.copy() for t in init.tables],
+            init.dense_network,
+        )
+        assert [p.past_window for p in run.scratchpads] == [5, 5]
+        assert run.future_window == 1
 
 
 class TestTiming:

@@ -10,16 +10,13 @@ import pytest
 
 import repro
 from repro.core.pipeline import HazardMonitor, ScratchPipePipeline
-from repro.core.scratchpad import required_slots
+from repro.core.scratchpad import make_scratchpads, required_slots
 from repro.data.loader import LookaheadLoader
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.model.config import tiny_config
 from repro.model.dlrm import DLRMModel
 from repro.model.optimizer import SGD
-from repro.systems.scratchpipe_system import (
-    ScratchPipeTrainingRun,
-    make_scratchpads,
-)
+from repro.systems.scratchpipe_system import ScratchPipeTrainingRun
 
 
 class TestPublicApi:

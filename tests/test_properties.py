@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on the core data structures.
 
-These encode the invariants DESIGN.md Section 5 commits to:
+These encode the invariants the cache and pipeline commit to:
 
 * Hit-Map bijectivity under arbitrary assign/displace traffic,
 * Hold-mask lifetime exactness for arbitrary windows and hold patterns,
@@ -183,7 +183,7 @@ class TestPipelineInvariants:
     def test_metadata_conservation_laws(self, seed, num_slots, locality):
         """Over arbitrary traces and (adequately sized) caches, per-batch
         cache statistics obey the conservation laws."""
-        from repro.systems.scratchpipe_system import make_scratchpads
+        from repro.core.scratchpad import make_scratchpads
 
         cfg = tiny_config(
             rows_per_table=200, batch_size=3, lookups_per_table=2, num_tables=1
@@ -213,7 +213,7 @@ class TestPipelineInvariants:
         """A strictly larger cache never produces more misses in total
         (LRU inclusion property holds for our vectorised variant on these
         traces)."""
-        from repro.systems.scratchpipe_system import make_scratchpads
+        from repro.core.scratchpad import make_scratchpads
 
         cfg = tiny_config(
             rows_per_table=150, batch_size=3, lookups_per_table=2, num_tables=1
