@@ -12,8 +12,7 @@ import argparse
 
 from repro import ExperimentSetup
 from repro.api import build_system, uniform_system_spec
-from repro.core.timeline import PipelineTimeline, render_ascii, schedule
-from repro.systems.stages import cache_stage_times
+from repro.core.timeline import PipelineTimeline, render_ascii
 
 CACHE_FRACTION = 0.02
 
@@ -30,12 +29,8 @@ def main() -> None:
         setup.config, setup.hardware,
     )
     trace = setup.trace(args.locality)
-    stats = system.simulate_cache(trace)
-
     stage_seconds = [
-        {k: v.seconds for k, v in
-         cache_stage_times(system.cost, s, system.future_window).items()}
-        for s in stats
+        breakdown.by_stage() for breakdown in system.stream_breakdowns(trace)
     ]
     timeline = PipelineTimeline(
         stage_seconds=stage_seconds, sync_seconds=setup.hardware.stage_sync_s

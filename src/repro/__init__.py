@@ -9,7 +9,7 @@ Public API tour
   the CLI, experiments and sweeps share.
 * ``repro.model``    — numpy DLRM: embeddings, MLPs, interaction, SGD.
 * ``repro.data``     — power-law access distributions, dataset profiles,
-  synthetic traces, the look-forward loader.
+  synthetic traces, real-trace ingestion.
 * ``repro.core``     — ScratchPipe's Hit-Map, Hold mask, scratchpad,
   straw-man cache and the 6-stage pipeline.
 * ``repro.systems``  — the four end-to-end design points plus the 8-GPU
@@ -67,7 +67,6 @@ from repro.core import (
 )
 from repro.data.fetch import ChecksumMismatchError
 from repro.data import (
-    LookaheadLoader,
     MiniBatch,
     ScenarioSpec,
     SyntheticDataset,
@@ -133,7 +132,6 @@ __all__ = [
     "ScratchPipePipeline",
     "StrawmanCache",
     "required_slots",
-    "LookaheadLoader",
     "MiniBatch",
     "ScenarioSpec",
     "SyntheticDataset",

@@ -371,6 +371,13 @@ def cmd_overhead(args: argparse.Namespace) -> None:
     ))
 
 
+def _cache_label(cache: CacheSpec) -> str:
+    """Banner text for a cache spec: ``2% cache`` or the per-table split."""
+    if cache.is_uniform and cache.fraction is not None:
+        return f"{cache.fraction:.0%} cache"
+    return format_cache_spec(cache)
+
+
 def cmd_compare(args: argparse.Namespace) -> None:
     """Head-to-head latency of the designs on one trace.
 
@@ -407,12 +414,8 @@ def cmd_compare(args: argparse.Namespace) -> None:
         results[name] = system.run_trace(trace).mean_latency(
             warmups.get(name, pipelined_warmup)
         )
-    if cache.is_uniform and cache.fraction is not None:
-        cache_label = f"{cache.fraction:.0%} cache"
-    else:
-        cache_label = format_cache_spec(cache)
     print(banner(
-        f"System comparison — {args.locality}, {cache_label}, "
+        f"System comparison — {args.locality}, {_cache_label(cache)}, "
         f"mean_latency (warmup={pipelined_warmup}; baselines 0)"
     ))
     print(format_table(
@@ -626,7 +629,6 @@ def cmd_validate(args: argparse.Namespace) -> None:
 def cmd_timeline(args: argparse.Namespace) -> None:
     """Render the Figure 10 pipeline schedule with stage utilisation."""
     from repro.core.timeline import PipelineTimeline, render_ascii
-    from repro.systems.stages import cache_stage_times
 
     if args.locality not in LOCALITY_CLASSES and not args.trace:
         raise SystemExit(
@@ -643,16 +645,16 @@ def cmd_timeline(args: argparse.Namespace) -> None:
             f"timeline needs a pipelined dynamic-cache system; "
             f"{spec.system!r} does not stream the metadata pipeline"
         )
-    stats = system.simulate_cache(setup.trace(args.locality))
-    stage_seconds = [
-        {k: v.seconds for k, v in
-         cache_stage_times(system.cost, s, system.future_window).items()}
-        for s in stats
-    ]
     timeline = PipelineTimeline(
-        stage_seconds=stage_seconds, sync_seconds=setup.hardware.stage_sync_s
+        stage_seconds=[
+            breakdown.by_stage()
+            for breakdown in system.stream_breakdowns(setup.trace(args.locality))
+        ],
+        sync_seconds=setup.hardware.stage_sync_s,
     )
-    print(banner(f"Pipeline schedule — {args.locality}, {args.cache:.0%} cache"))
+    print(banner(
+        f"Pipeline schedule — {args.locality}, {_cache_label(spec.cache)}"
+    ))
     print(render_ascii(timeline.cycles(), max_cycles=12))
     print(f"\nsteady-state cycle: "
           f"{timeline.steady_state_cycle_seconds() * 1e3:.2f} ms; "

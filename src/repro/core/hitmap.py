@@ -49,15 +49,17 @@ class HitMap:
             raise HitMapConfigError(f"num_slots must be >= 1, got {self.num_slots}")
         if self.num_rows < 1:
             raise HitMapConfigError(f"num_rows must be >= 1, got {self.num_rows}")
-        # int32 slots: caches beyond 2**31 rows are far past GPU capacity.
-        # Keys likewise fit int32 whenever the ID universe does (the only
-        # case where they would not); halving the element width halves the
-        # random-access traffic of the assign/displace hot path.
+        # Both directions are int32: caches beyond 2**31 rows are far past
+        # GPU capacity, and halving the element width halves the
+        # random-access traffic of the assign/displace hot path.  A larger
+        # ID universe is refused before its (> 8 GB) index is allocated.
+        if self.num_rows > np.iinfo(np.int32).max:
+            raise HitMapConfigError(
+                f"num_rows must be <= {np.iinfo(np.int32).max} (int32 keys), "
+                f"got {self.num_rows}"
+            )
         self._slot_of_key = np.full(self.num_rows, EMPTY, dtype=np.int32)
-        key_dtype = (
-            np.int32 if self.num_rows <= np.iinfo(np.int32).max else np.int64
-        )
-        self._key_of_slot = np.full(self.num_slots, EMPTY, dtype=key_dtype)
+        self._key_of_slot = np.full(self.num_slots, EMPTY, dtype=np.int32)
 
     def __len__(self) -> int:
         return self._size

@@ -52,9 +52,10 @@ PLAN_TO_TRAIN = 4
 
 #: Pipeline offsets of the *priced* stages (batch ``b`` is at stage ``s``
 #: in cycle ``b + offset``); Load is unpriced — it overlaps host-side
-#: dataset reads.  Shared by the steady-state cycle-time model
-#: (``repro.systems.scratchpipe_system``) and the live-replay tandem
-#: queue (``repro.serve``).
+#: dataset reads.  Its keys, in order, are the one list of priced stages:
+#: the pipelined-cycle rule (``repro.core.timeline``), the stage pricing
+#: (``repro.systems.stages``) and the live-replay tandem queue
+#: (``repro.serve``) all read it.
 PRICED_STAGE_OFFSETS = {
     "plan": 1,
     "collect": 2,

@@ -1,22 +1,32 @@
-"""Pipeline timeline: per-cycle stage occupancy and utilisation analysis.
+"""Pipeline timeline: the pipelined-cycle rule and the Figure 10 schedule.
 
-Renders the execution schedule of Figure 10 — which mini-batch occupies
-which stage in every cycle — and computes occupancy/utilisation statistics
-from priced stage latencies.  Useful for understanding *why* the pipelined
-iteration time equals the bottleneck stage, and for the Figure 9-style
-hazard-window diagrams in documentation.
+This module owns the one timing rule of a pipelined iteration (§IV-C,
+Figure 10).  Stage ``s`` of batch ``b`` occupies cycle
+``b + PRICED_STAGE_OFFSETS[s]``; a cycle lasts as long as its slowest
+occupied priced stage plus the per-cycle sync.  A cycle is *steady* when
+all five priced stages are occupied (Load is unpriced host work).  Each
+batch is attributed the cycle it trains in, except the batches that
+retire while the pipe drains: on a long-running job every retiring batch
+shares the pipe with younger ones, so they are attributed the mean steady
+cycle instead.
+
+:meth:`PipelineTimeline.retired_cycle_seconds` is the iteration time of
+every pipelined design's ``run_trace``; the schedule, the steady-state
+cycle and the stage utilisation read from the same cycle times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.errors import TimelineConfigError
-from repro.core.pipeline import STAGES
+import numpy as np
 
-#: Stages that are priced (Load is overlapped host work).
-PRICED_STAGES = ("plan", "collect", "exchange", "insert", "train")
+from repro.errors import TimelineConfigError
+from repro.core.pipeline import PRICED_STAGE_OFFSETS, STAGES
+
+#: Cycle in which batch 0 trains: the pipe is full from here on.
+_TRAIN_OFFSET = PRICED_STAGE_OFFSETS["train"]
 
 
 @dataclass(frozen=True)
@@ -64,10 +74,30 @@ class PipelineTimeline:
 
     stage_seconds: Sequence[Mapping[str, float]]
     sync_seconds: float = 0.0
+    _prices: np.ndarray = field(init=False, repr=False)
+    _cycle_seconds: np.ndarray = field(init=False, repr=False)
+    _steady: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.stage_seconds:
             raise TimelineConfigError("stage_seconds must cover at least one batch")
+        num_batches = len(self.stage_seconds)
+        self._prices = np.array(
+            [[seconds.get(stage, 0.0) for stage in PRICED_STAGE_OFFSETS]
+             for seconds in self.stage_seconds],
+            dtype=np.float64,
+        )
+        # Lay each stage column into a cycle-indexed matrix shifted by its
+        # offset: the per-cycle "max over occupied stages" is then one
+        # row-wise max (idle cells cost 0, as does the Load-only cycle 0).
+        num_cycles = num_batches + _TRAIN_OFFSET
+        shifted = np.zeros((num_cycles, len(PRICED_STAGE_OFFSETS)))
+        occupied = np.zeros(num_cycles, dtype=np.int64)
+        for column, offset in enumerate(PRICED_STAGE_OFFSETS.values()):
+            shifted[offset : offset + num_batches, column] = self._prices[:, column]
+            occupied[offset : offset + num_batches] += 1
+        self._cycle_seconds = shifted.max(axis=1) + self.sync_seconds
+        self._steady = occupied == len(PRICED_STAGE_OFFSETS)
 
     @property
     def num_batches(self) -> int:
@@ -76,34 +106,40 @@ class PipelineTimeline:
 
     def cycles(self) -> List[CycleOccupancy]:
         """Occupancy plus per-cycle wall-clock time."""
-        out = []
-        for entry in schedule(self.num_batches):
-            seconds = 0.0
-            for stage, batch in entry.batches.items():
-                if stage == "load":
-                    continue
-                seconds = max(
-                    seconds, self.stage_seconds[batch].get(stage, 0.0)
-                )
-            if entry.batches:
-                seconds += self.sync_seconds
-            out.append(CycleOccupancy(entry.cycle, entry.batches, seconds))
-        return out
+        return [
+            CycleOccupancy(entry.cycle, entry.batches, seconds)
+            for entry, seconds in zip(
+                schedule(self.num_batches), self._cycle_seconds.tolist()
+            )
+        ]
 
     def total_seconds(self) -> float:
         """End-to-end wall-clock time including fill/drain."""
-        return sum(c.cycle_seconds for c in self.cycles())
+        return sum(self._cycle_seconds.tolist())
 
     def steady_state_cycle_seconds(self) -> float:
-        """Mean cycle time over the fully-occupied (steady-state) cycles."""
-        full = [
-            c.cycle_seconds
-            for c in self.cycles()
-            if len(c.batches) == len(STAGES)
-        ]
-        if not full:  # trace shorter than the pipeline depth
-            return self.total_seconds() / max(1, self.num_batches)
-        return sum(full) / len(full)
+        """Mean cycle time over the cycles with every priced stage occupied."""
+        steady = self._cycle_seconds[self._steady]
+        if not steady.size:  # trace shorter than the pipeline depth
+            return self.total_seconds() / self.num_batches
+        # Sequential sum: accumulate in cycle order.
+        return sum(steady.tolist()) / steady.size
+
+    def retired_cycle_seconds(self) -> List[float]:
+        """Seconds attributed to each batch, in trace order.
+
+        A batch costs the cycle it trains in; batches that retire during
+        the drain get the mean steady cycle.  A trace too short to fill
+        the pipe keeps its raw train cycles.
+        """
+        retired = self._cycle_seconds[_TRAIN_OFFSET:]
+        if self._steady.any():
+            retired = np.where(
+                self._steady[_TRAIN_OFFSET:],
+                retired,
+                self.steady_state_cycle_seconds(),
+            )
+        return retired.tolist()
 
     def stage_utilisation(self) -> Dict[str, float]:
         """Fraction of occupied-cycle time each stage is actually busy.
@@ -111,17 +147,13 @@ class PipelineTimeline:
         The bottleneck stage approaches 1.0; heavily overlapped stages sit
         far below — quantifying how much latency the pipeline hides.
         """
-        busy: Dict[str, float] = {s: 0.0 for s in PRICED_STAGES}
-        wall = 0.0
-        for entry in self.cycles():
-            wall += entry.cycle_seconds
-            for stage, batch in entry.batches.items():
-                if stage == "load":
-                    continue
-                busy[stage] += self.stage_seconds[batch].get(stage, 0.0)
+        wall = self.total_seconds()
         if wall == 0.0:
-            return {s: 0.0 for s in PRICED_STAGES}
-        return {s: busy[s] / wall for s in PRICED_STAGES}
+            return {s: 0.0 for s in PRICED_STAGE_OFFSETS}
+        return {
+            stage: sum(self._prices[:, column].tolist()) / wall
+            for column, stage in enumerate(PRICED_STAGE_OFFSETS)
+        }
 
     def bottleneck_stage(self) -> str:
         """The stage with the highest utilisation."""

@@ -49,7 +49,6 @@ __all__ = [
     "ConformanceInputError",
     "DatasetSpecError",
     "TraceSourceError",
-    "LoaderConfigError",
     "TraceFormatError",
     "TsvFormatError",
     "TraceStatsError",
@@ -201,10 +200,6 @@ class DatasetSpecError(ValueError):
 
 class TraceSourceError(ValueError):
     """A trace source was constructed or driven with invalid arguments."""
-
-
-class LoaderConfigError(ValueError):
-    """Loader lookahead/offset arguments are invalid."""
 
 
 class TraceFormatError(ValueError):

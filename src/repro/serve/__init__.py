@@ -31,7 +31,7 @@ from repro.serve.arrivals import (
     parse_arrivals,
     unit_gaps,
 )
-from repro.serve.loop import SERVE_STAGES, AdmissionRejectedError, replay
+from repro.serve.loop import AdmissionRejectedError, replay
 from repro.serve.report import (
     PERCENTILES,
     ServeReport,
@@ -48,7 +48,6 @@ __all__ = [
     "arrival_times",
     "parse_arrivals",
     "unit_gaps",
-    "SERVE_STAGES",
     "AdmissionRejectedError",
     "replay",
     "PERCENTILES",

@@ -15,10 +15,11 @@ propagates upstream exactly as it would through bounded inter-stage queues.
 Everything runs on a virtual clock: no sleeping, no wall-time, bit-identical
 results for the same ``(system, trace, ServeSpec, warmup)``.
 
-Service times are priced from the functional cache simulation over the
-contiguous trace (``stream_cache_stats`` -> ``cache_stage_times``), so under
-the ``"reject"`` admission policy a dropped batch still advances the cache
-state — rejection models the queueing consequence, not a functional skip.
+Service times are the system's own stage prices over the contiguous trace
+(``ScratchPipeSystem.stream_breakdowns``, the stream ``run_trace`` prices
+from), so under the ``"reject"`` admission policy a dropped batch still
+advances the cache state — rejection models the queueing consequence, not
+a functional skip.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ from repro.core.pipeline import PRICED_STAGE_OFFSETS
 from repro.serve.arrivals import ArrivalSpec, ServeSpec, arrival_times
 from repro.serve.report import PERCENTILES, ServeReport, exact_percentiles
 from repro.systems.base import InsufficientSteadyStateError
-from repro.systems.stages import cache_stage_times
-
-#: Priced stages in pipeline order (Load is unpriced).
-SERVE_STAGES = tuple(PRICED_STAGE_OFFSETS)
 
 
 class AdmissionRejectedError(RuntimeError):
@@ -59,10 +56,10 @@ class AdmissionRejectedError(RuntimeError):
 
 
 def _service_times(system, trace, num_batches: int) -> np.ndarray:
-    """Per-batch per-stage service seconds, shape ``(n, len(SERVE_STAGES))``.
+    """Per-batch service seconds, one column per priced stage.
 
-    Stage prices come from the same ``cache_stage_times`` the steady-state
-    model uses, plus the hardware's per-stage sync overhead.
+    Stage prices are the ones the steady-state model uses, plus the
+    hardware's per-stage sync overhead.
     """
     if not hasattr(system, "stream_cache_stats"):
         raise TypeError(
@@ -71,9 +68,9 @@ def _service_times(system, trace, num_batches: int) -> np.ndarray:
         )
     sync = system.hardware.stage_sync_s
     rows = []
-    for stats in system.stream_cache_stats(trace, num_batches):
-        priced = cache_stage_times(system.cost, stats, system.future_window)
-        rows.append([priced[stage].seconds + sync for stage in SERVE_STAGES])
+    for breakdown in system.stream_breakdowns(trace, num_batches):
+        priced = breakdown.by_stage()
+        rows.append([priced[stage] + sync for stage in PRICED_STAGE_OFFSETS])
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -87,8 +84,8 @@ def replay(
     """Replay ``trace`` through ``system`` as open-loop live traffic.
 
     Args:
-        system: A ``ScratchPipeSystem`` (anything exposing
-            ``stream_cache_stats``/``cost``/``future_window``/``hardware``).
+        system: A ``ScratchPipeSystem`` (or a subclass, priced by its own
+            ``stream_breakdowns``).
         trace: Random-access batch source (``TraceSource`` / dataset).
         serve: A :class:`ServeSpec`, a bare :class:`ArrivalSpec` (wrapped
             with default queueing), or ``None`` for all defaults.
@@ -117,7 +114,7 @@ def replay(
 
     service = _service_times(system, trace, n)
     arrivals = arrival_times(spec.arrivals, spec.seed, n)
-    num_stages = len(SERVE_STAGES)
+    num_stages = len(PRICED_STAGE_OFFSETS)
     depth = spec.queue_depth
     reject = spec.admission == "reject"
 
@@ -176,7 +173,7 @@ def replay(
     measured = range(warmup, admitted)
     e2e = [deps[a][num_stages - 1] - adm_arrival[a] for a in measured]
     stage_percentiles = {}
-    for k, stage in enumerate(SERVE_STAGES):
+    for k, stage in enumerate(PRICED_STAGE_OFFSETS):
         residence = [deps[a][k] - entries[a][k] for a in measured]
         stage_percentiles[stage] = exact_percentiles(residence, PERCENTILES)
 

@@ -31,7 +31,7 @@ from repro.systems.metrics import (
     speedup,
     throughput_report,
 )
-from repro.systems.stages import CACHE_STAGES, cache_stage_times
+from repro.systems.stages import cache_stage_times
 from repro.systems.static_cache import (
     SplitStats,
     StaticCacheSystem,
@@ -64,7 +64,6 @@ __all__ = [
     "ThroughputReport",
     "speedup",
     "throughput_report",
-    "CACHE_STAGES",
     "cache_stage_times",
     "SplitStats",
     "StaticCacheSystem",

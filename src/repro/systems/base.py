@@ -6,13 +6,28 @@ without pipelining, and the pipelined ScratchPipe.  Every design is a
 :class:`TrainingSystem` that turns a trace into per-iteration
 :class:`IterationBreakdown` objects (stage latencies + device attribution)
 and a :class:`SystemRunResult` (wall-clock and energy per iteration).
+
+:meth:`TrainingSystem.run_trace` is written once, here.  It is assembled
+from three per-design hooks:
+
+* :meth:`~TrainingSystem.stream_breakdowns` prices each batch.  By default
+  it hands :meth:`~TrainingSystem.batch_stats` of every batch to the
+  design's ``iteration_breakdown``; the cache-simulating designs stream
+  their cache statistics instead.
+* :meth:`~TrainingSystem.iteration_times` turns the breakdowns into
+  wall-clock seconds: the stage sum for sequential designs, the
+  overlapped CPU/GPU cycle, or the pipelined cycle of
+  :mod:`repro.core.timeline`.
+* :meth:`~TrainingSystem.iteration_energy` charges each iteration's
+  Joules: stage by stage for sequential designs, both devices busy for
+  overlapped ones, plus the extra GPUs of the multi-GPU designs.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -240,8 +255,51 @@ class TrainingSystem:
     def run_trace(
         self, dataset_batches: object, num_batches: Optional[int] = None
     ) -> SystemRunResult:
-        """Run (timing-wise) over ``num_batches`` of a trace."""
-        raise NotImplementedError
+        """Run (timing-wise) over ``num_batches`` of a trace (default: all)."""
+        total = len(dataset_batches)
+        num_batches = total if num_batches is None else num_batches
+        breakdowns = list(self.stream_breakdowns(dataset_batches, num_batches))
+        times = self.iteration_times(breakdowns)
+        return SystemRunResult(
+            system=self.name,
+            breakdowns=breakdowns,
+            iteration_times=times,
+            energies=[
+                self.iteration_energy(seconds, breakdown)
+                for seconds, breakdown in zip(times, breakdowns)
+            ],
+        )
+
+    def batch_stats(self, batch: MiniBatch):
+        """The statistics ``iteration_breakdown`` prices one batch from."""
+        return batch_access_stats(batch)
+
+    def stream_breakdowns(
+        self, dataset_batches: object, num_batches: int
+    ) -> Iterator[IterationBreakdown]:
+        """Each batch's priced stages, in trace order."""
+        for index in range(num_batches):
+            yield self.iteration_breakdown(
+                self.batch_stats(dataset_batches.batch(index))
+            )
+
+    def iteration_times(
+        self, breakdowns: Sequence[IterationBreakdown]
+    ) -> List[float]:
+        """Sequential designs: an iteration costs the sum of its stages."""
+        return [breakdown.total for breakdown in breakdowns]
+
+    def iteration_energy(
+        self, seconds: float, breakdown: IterationBreakdown
+    ) -> float:
+        """Sequential designs: Joules of the stages run back-to-back."""
+        return breakdown.sequential_energy(self.energy_model)
+
+    def overlapped_energy(self, seconds: float) -> float:
+        """Joules of an iteration that keeps both CPU and GPU busy."""
+        return self.energy_model.total_energy(
+            [EnergySlice(seconds=seconds, busy=(CPU, GPU))]
+        )
 
 
 def cpu_stage(name: str, group: str, seconds: float) -> StageTime:

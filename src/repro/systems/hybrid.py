@@ -10,18 +10,13 @@ whole paper sets out to remove.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.model.config import ModelConfig
 from repro.systems.base import (
     CPU_EMB_BACKWARD,
     CPU_EMB_FORWARD,
     GPU_GROUP,
     BatchAccessStats,
     IterationBreakdown,
-    SystemRunResult,
     TrainingSystem,
-    batch_access_stats,
     cpu_stage,
     gpu_stage,
     transfer_stage,
@@ -76,17 +71,3 @@ class HybridSystem(TrainingSystem):
             ),
         )
         return IterationBreakdown(stages=stages)
-
-    def run_trace(
-        self, dataset_batches: object, num_batches: Optional[int] = None
-    ) -> SystemRunResult:
-        total = len(dataset_batches)
-        num_batches = total if num_batches is None else num_batches
-        result = SystemRunResult(system=self.name)
-        for index in range(num_batches):
-            stats = batch_access_stats(dataset_batches.batch(index))
-            breakdown = self.iteration_breakdown(stats)
-            result.breakdowns.append(breakdown)
-            result.iteration_times.append(breakdown.total)
-            result.energies.append(breakdown.sequential_energy(self.energy_model))
-        return result

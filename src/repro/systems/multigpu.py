@@ -10,18 +10,13 @@ and per-iteration synchronisation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import SystemConfigError
 from repro.model.config import ModelConfig, dense_parameter_bytes
 from repro.systems.base import (
     BatchAccessStats,
     GPU_GROUP,
     IterationBreakdown,
-    StageTime,
-    SystemRunResult,
     TrainingSystem,
-    batch_access_stats,
     gpu_stage,
 )
 from repro.hardware.energy import GPU, EnergySlice
@@ -111,23 +106,14 @@ class MultiGpuSystem(TrainingSystem):
         )
         return IterationBreakdown(stages=stages)
 
-    def run_trace(
-        self, dataset_batches: object, num_batches: Optional[int] = None
-    ) -> SystemRunResult:
-        total = len(dataset_batches)
-        num_batches = total if num_batches is None else num_batches
-        result = SystemRunResult(system=self.name)
-        for index in range(num_batches):
-            stats = batch_access_stats(dataset_batches.batch(index))
-            breakdown = self.iteration_breakdown(stats)
-            result.breakdowns.append(breakdown)
-            result.iteration_times.append(breakdown.total)
-            # All GPUs active; CPU idles.  Energy scaled by GPU count.
-            per_gpu = self.energy_model.total_energy(
-                [EnergySlice(seconds=breakdown.total, busy=(GPU,))]
-            )
-            gpu_extra = (self.num_gpus - 1) * (
-                self.hardware.power.gpu_active_w * breakdown.total
-            )
-            result.energies.append(per_gpu + gpu_extra)
-        return result
+    def iteration_energy(
+        self, seconds: float, breakdown: IterationBreakdown
+    ) -> float:
+        # All GPUs active; CPU idles.  Energy scaled by GPU count.
+        per_gpu = self.energy_model.total_energy(
+            [EnergySlice(seconds=seconds, busy=(GPU,))]
+        )
+        gpu_extra = (self.num_gpus - 1) * (
+            self.hardware.power.gpu_active_w * seconds
+        )
+        return per_gpu + gpu_extra

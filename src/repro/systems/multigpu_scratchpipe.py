@@ -8,6 +8,12 @@ model for that design point so the paper's prediction can be tested: with
 the DNNs contributing little, multi-GPU ScratchPipe underutilises the extra
 GPUs and is **less cost-effective** than the single-GPU design.
 
+:class:`MultiGpuScratchPipeSystem` *is* a
+:class:`~repro.systems.scratchpipe_system.ScratchPipeSystem`: the same
+per-table caches (and so the same build-time hazard-window floor), the
+same metadata pipeline and the same pipelined-cycle rule.  It overrides
+only two things, the per-batch stage pricing and the extra GPUs' energy.
+
 Modelling choices (documented deviations):
 
 * [Collect]/[Insert] still bottleneck on the *single* CPU memory — adding
@@ -22,32 +28,15 @@ Modelling choices (documented deviations):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from repro.errors import SystemConfigError
-from repro.core.pipeline import BatchCacheStats
-from repro.hardware.energy import CPU, GPU, EnergySlice
-from repro.model.config import ModelConfig, dense_parameter_bytes
-from repro.systems.base import IterationBreakdown, SystemRunResult, TrainingSystem
-from repro.systems.scratchpipe_system import ScratchPipeSystem
-from repro.systems.stages import (
-    COLLECT,
-    EXCHANGE,
-    INSERT,
-    PLAN,
-    TRAIN,
-    collect_time,
-    insert_time,
-    plan_time,
-)
-from repro.systems.base import StageTime, gpu_stage, transfer_stage
-
-#: Pipeline offsets (same 6-stage pipeline as the single-GPU design).
-_STAGE_OFFSETS = {PLAN: 1, COLLECT: 2, EXCHANGE: 3, INSERT: 4, TRAIN: 5}
-
+from typing import Dict
 
 from repro.api.registry import register_system
-from repro.api.specs import InvalidSystemSpecError, SystemSpec
+from repro.errors import SystemConfigError
+from repro.core.pipeline import BatchCacheStats
+from repro.model.config import dense_parameter_bytes
+from repro.systems.base import IterationBreakdown, StageTime, gpu_stage, transfer_stage
+from repro.systems.scratchpipe_system import ScratchPipeSystem
+from repro.systems.stages import COLLECT, EXCHANGE, INSERT, PLAN, TRAIN, plan_time
 
 
 @register_system(
@@ -56,46 +45,15 @@ from repro.api.specs import InvalidSystemSpecError, SystemSpec
     uses_num_gpus=True,
     description="ScratchPipe over table-parallel GPUs (Section VI-G)",
 )
-class MultiGpuScratchPipeSystem(TrainingSystem):
-    """Analytic timing of ScratchPipe over ``num_gpus`` table-parallel GPUs."""
+class MultiGpuScratchPipeSystem(ScratchPipeSystem):
+    """Analytic timing of ScratchPipe over ``spec.num_gpus`` table-parallel
+    GPUs."""
 
     name = "multi_gpu_scratchpipe"
 
-    def __init__(
-        self, config: ModelConfig, hardware, *, spec: SystemSpec
-    ) -> None:
-        super().__init__(config, hardware)
-        if spec.cache is None:
-            raise InvalidSystemSpecError(f"{self.name} requires a cache spec")
-        num_gpus = spec.num_gpus
-        if num_gpus < 1:
-            raise SystemConfigError(f"num_gpus must be >= 1, got {num_gpus}")
-        if config.num_tables % num_gpus != 0:
-            raise SystemConfigError(
-                f"num_gpus ({num_gpus}) must divide num_tables "
-                f"({config.num_tables}) for table-wise partitioning"
-            )
-        self.spec = spec
-        self.num_gpus = num_gpus
-        self.future_window = spec.pipeline.future_window
-        # Cache behaviour per table is unchanged — reuse the single-GPU
-        # simulator for hit/miss/victim statistics (heterogeneous per-table
-        # caches flow through unchanged).
-        self._cache_sim = ScratchPipeSystem(
-            config, hardware,
-            spec=spec.with_system("scratchpipe"),
-        )
-
-    @classmethod
-    def from_spec(cls, spec, config, hardware):
-        return cls(config, hardware, spec=spec)
-
-    # ------------------------------------------------------------------
-    # Per-stage pricing
-    # ------------------------------------------------------------------
-    def _stage_times(self, stats: BatchCacheStats) -> Dict[str, StageTime]:
+    def stage_times(self, stats: BatchCacheStats) -> Dict[str, StageTime]:
         cost = self.cost
-        g = self.num_gpus
+        g = self.spec.num_gpus
         cfg = self.config
 
         plan = plan_time(cost, stats, self.future_window) / g
@@ -127,39 +85,13 @@ class MultiGpuScratchPipeSystem(TrainingSystem):
             TRAIN: gpu_stage(TRAIN, TRAIN, train),
         }
 
-    # ------------------------------------------------------------------
-    # Pipeline timing (same cycle rule as the single-GPU system)
-    # ------------------------------------------------------------------
-    def run_trace(
-        self, dataset_batches: object, num_batches: Optional[int] = None
-    ) -> SystemRunResult:
-        total = len(dataset_batches)
-        num_batches = total if num_batches is None else num_batches
-        all_stats = self._cache_sim.simulate_cache(dataset_batches, num_batches)
-
-        stage_seconds: List[Dict[str, float]] = []
-        result = SystemRunResult(system=self.name)
-        for stats in all_stats:
-            priced = self._stage_times(stats)
-            stage_seconds.append({k: v.seconds for k, v in priced.items()})
-            result.breakdowns.append(
-                IterationBreakdown(stages=tuple(priced.values()))
-            )
-
-        from repro.systems.scratchpipe_system import _pipelined_cycle_times
-
-        cycle_of_batch = _pipelined_cycle_times(
-            stage_seconds, self.hardware.stage_sync_s
+    def iteration_energy(
+        self, seconds: float, breakdown: IterationBreakdown
+    ) -> float:
+        gpu_extra_w = (self.spec.num_gpus - 1) * self.hardware.power.gpu_active_w
+        return (
+            super().iteration_energy(seconds, breakdown) + gpu_extra_w * seconds
         )
-
-        gpu_extra_w = (self.num_gpus - 1) * self.hardware.power.gpu_active_w
-        for seconds in cycle_of_batch:
-            result.iteration_times.append(seconds)
-            base = self.energy_model.total_energy(
-                [EnergySlice(seconds=seconds, busy=(CPU, GPU))]
-            )
-            result.energies.append(base + gpu_extra_w * seconds)
-        return result
 
 
 def tco_comparison(

@@ -26,7 +26,7 @@ by the dense time when the model is MLP-dominated.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Sequence
 
 from repro.systems.base import (
     BatchAccessStats,
@@ -34,14 +34,11 @@ from repro.systems.base import (
     CPU_EMB_FORWARD,
     GPU_GROUP,
     IterationBreakdown,
-    SystemRunResult,
     TrainingSystem,
-    batch_access_stats,
     cpu_stage,
     gpu_stage,
     transfer_stage,
 )
-from repro.hardware.energy import CPU, GPU, EnergySlice
 
 
 from repro.api.registry import register_system
@@ -57,24 +54,6 @@ class OverlappedHybridSystem(TrainingSystem):
 
     name = "overlapped_hybrid"
 
-    def _cpu_seconds(self, stats: BatchAccessStats) -> float:
-        cost = self.cost
-        return (
-            cost.embedding_gather(stats.total_lookups, "cpu")
-            + cost.embedding_reduce(stats.total_lookups, "cpu")
-            + cost.embedding_backward(
-                stats.total_lookups, stats.unique_rows, "cpu"
-            )
-        )
-
-    def _gpu_seconds(self) -> float:
-        return self.cost.dense_train("gpu")
-
-    def _transfer_seconds(self) -> float:
-        # Pooled embeddings out, pooled gradients back; full duplex overlaps
-        # them across neighbouring batches.
-        return self.cost.pooled_transfer()
-
     def iteration_breakdown(self, stats: BatchAccessStats) -> IterationBreakdown:
         """Stage latencies of one iteration (pre-overlap)."""
         cost = self.cost
@@ -82,42 +61,41 @@ class OverlappedHybridSystem(TrainingSystem):
             cpu_stage("cpu_emb_forward", CPU_EMB_FORWARD,
                       cost.embedding_gather(stats.total_lookups, "cpu")
                       + cost.embedding_reduce(stats.total_lookups, "cpu")),
+            # Pooled embeddings out, pooled gradients back; full duplex
+            # overlaps them across neighbouring batches.
             transfer_stage("pooled_exchange", GPU_GROUP,
-                           self._transfer_seconds()),
-            gpu_stage("dense_train", GPU_GROUP, self._gpu_seconds()),
+                           cost.pooled_transfer()),
+            gpu_stage("dense_train", GPU_GROUP, cost.dense_train("gpu")),
             cpu_stage("cpu_emb_backward", CPU_EMB_BACKWARD,
                       cost.embedding_backward(
                           stats.total_lookups, stats.unique_rows, "cpu")),
         )
         return IterationBreakdown(stages=stages)
 
-    def steady_cycle_seconds(self, stats: BatchAccessStats) -> float:
-        """Overlapped steady-state iteration time.
+    def cycle_seconds(self, breakdown: IterationBreakdown) -> float:
+        """Overlapped steady-state iteration time of one priced batch.
 
         The CPU and GPU stages of *different* batches run concurrently;
         each cycle retires one batch and costs the slower side plus the
         non-overlappable hand-off.
         """
-        cpu_side = self._cpu_seconds(stats) + self._transfer_seconds()
-        gpu_side = self._gpu_seconds() + self._transfer_seconds()
+        stage = breakdown.by_stage()
+        transfer = stage["pooled_exchange"]
+        cpu_side = stage["cpu_emb_forward"] + stage["cpu_emb_backward"] + transfer
+        gpu_side = stage["dense_train"] + transfer
         return max(cpu_side, gpu_side) + self.hardware.stage_sync_s
 
-    def run_trace(
-        self, dataset_batches: object, num_batches: Optional[int] = None
-    ) -> SystemRunResult:
-        total = len(dataset_batches)
-        num_batches = total if num_batches is None else num_batches
-        result = SystemRunResult(system=self.name)
-        for index in range(num_batches):
-            stats = batch_access_stats(dataset_batches.batch(index))
-            breakdown = self.iteration_breakdown(stats)
-            cycle = self.steady_cycle_seconds(stats)
-            result.breakdowns.append(breakdown)
-            result.iteration_times.append(cycle)
-            # Both devices are busy every overlapped cycle.
-            result.energies.append(
-                self.energy_model.total_energy(
-                    [EnergySlice(seconds=cycle, busy=(CPU, GPU))]
-                )
-            )
-        return result
+    def steady_cycle_seconds(self, stats: BatchAccessStats) -> float:
+        """Overlapped steady-state iteration time of a batch's statistics."""
+        return self.cycle_seconds(self.iteration_breakdown(stats))
+
+    def iteration_times(
+        self, breakdowns: Sequence[IterationBreakdown]
+    ) -> List[float]:
+        return [self.cycle_seconds(breakdown) for breakdown in breakdowns]
+
+    def iteration_energy(
+        self, seconds: float, breakdown: IterationBreakdown
+    ) -> float:
+        # Both devices are busy every overlapped cycle.
+        return self.overlapped_energy(seconds)

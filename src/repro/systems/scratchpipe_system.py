@@ -4,7 +4,10 @@ Timing: every batch's five stage latencies are priced exactly like the
 straw-man's, but the stages of *different* batches overlap (Figure 10), so
 the steady-state iteration time is the per-cycle maximum across the stages
 currently occupied — plus a per-cycle synchronisation overhead — instead of
-the per-batch sum.
+the per-batch sum.  That cycle rule lives in :mod:`repro.core.timeline`;
+:meth:`ScratchPipeSystem.stream_breakdowns` is the one stream of priced
+stages that ``run_trace``, the live replay (:mod:`repro.serve`), the CLI
+``timeline`` command and the examples read.
 
 Functional: :class:`ScratchPipeTrainer` implements the [Train] stage
 callback of :class:`repro.core.pipeline.ScratchPipePipeline`, performing the
@@ -15,15 +18,14 @@ array — the paper's "training at GPU memory speed".
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import PlanMismatchError, SystemInputError
+from repro.errors import PlanMismatchError, SystemConfigError, SystemInputError
 from repro.api.registry import register_system
 from repro.api.specs import InvalidSystemSpecError, SystemSpec
 from repro.core.pipeline import (
-    PRICED_STAGE_OFFSETS,
     BatchCacheStats,
     HazardMonitor,
     ScratchPipePipeline,
@@ -34,59 +36,15 @@ from repro.core.scratchpad import (
     hazard_floor_slots,
     make_scratchpads,
 )
+from repro.core.timeline import PipelineTimeline
 from repro.data.trace import MiniBatch
-from repro.hardware.energy import CPU, GPU, EnergySlice
 from repro.model.adagrad import AdagradOptimizer
 from repro.model.config import ModelConfig
 from repro.model.dlrm import DenseNetwork
 from repro.model.embedding import coalesce_gradients, duplicate_gradients
 from repro.model.optimizer import SGD
-from repro.systems.base import IterationBreakdown, SystemRunResult, TrainingSystem
-from repro.systems.stages import CACHE_STAGES, cache_stage_times
-
-
-def _pipelined_cycle_times(
-    stage_times: Sequence[Dict[str, float]], sync: float
-) -> List[float]:
-    """Per-retired-batch cycle times of the 6-stage pipeline.
-
-    The cycle in which batch ``b`` trains takes as long as its slowest
-    occupied stage plus the sync overhead.  Batches that retire during
-    pipeline *drain* (the trailing cycles where upstream stages sit empty)
-    would otherwise look artificially cheap — on a long-running job every
-    retiring batch shares the pipe with five younger ones — so drain-cycle
-    batches are attributed the mean fully-occupied (steady-state) cycle.
-
-    Implemented as a sliding-window max: stage ``s`` of batch ``b`` occupies
-    cycle ``b + offset(s)``, so laying each stage column into a
-    cycle-indexed matrix shifted by its offset turns the per-cycle
-    "max over occupied stages" into one row-wise ``max`` over the matrix.
-    """
-    num_batches = len(stage_times)
-    if num_batches == 0:
-        return []
-    stages = tuple(PRICED_STAGE_OFFSETS)
-    times = np.array(
-        [[st[stage] for stage in stages] for st in stage_times], dtype=np.float64
-    )
-    train_offset = PRICED_STAGE_OFFSETS["train"]
-    last_cycle = num_batches - 1 + train_offset
-    shifted = np.full((last_cycle + 1, len(stages)), -np.inf)
-    for column, stage in enumerate(stages):
-        offset = PRICED_STAGE_OFFSETS[stage]
-        shifted[offset : offset + num_batches, column] = times[:, column]
-    occupied = shifted != -np.inf
-    cycle_times = shifted.max(axis=1) + sync
-    cycle_of_batch = cycle_times[train_offset : train_offset + num_batches].tolist()
-    fully_occupied = cycle_times[occupied.sum(axis=1) == len(stages)]
-    if fully_occupied.size:
-        # Sequential sum keeps the mean bit-identical to the original
-        # accumulate-in-cycle-order loop.
-        steady = sum(fully_occupied.tolist()) / fully_occupied.size
-        drain_start = num_batches - (train_offset - 1)
-        for batch_index in range(max(0, drain_start), num_batches):
-            cycle_of_batch[batch_index] = steady
-    return cycle_of_batch
+from repro.systems.base import IterationBreakdown, StageTime, TrainingSystem
+from repro.systems.stages import cache_stage_times
 
 
 @dataclass
@@ -183,6 +141,11 @@ class ScratchPipeSystem(TrainingSystem):
         if spec.cache is None:
             raise InvalidSystemSpecError(
                 f"{self.name} requires a cache spec"
+            )
+        if config.num_tables % spec.num_gpus != 0:
+            raise SystemConfigError(
+                f"num_gpus ({spec.num_gpus}) must divide num_tables "
+                f"({config.num_tables}) for table-wise partitioning"
             )
         self.spec = spec
         resolved = spec.cache.resolve(config.num_tables, config.rows_per_table)
@@ -295,39 +258,37 @@ class ScratchPipeSystem(TrainingSystem):
                 totals.add(stats)
         return steady if steady.batches else full
 
-    def run_trace(
+    def stage_times(self, stats: BatchCacheStats) -> Dict[str, StageTime]:
+        """One retired batch's five priced stages, keyed by stage name."""
+        return cache_stage_times(self.cost, stats, self.future_window)
+
+    def stream_breakdowns(
         self, dataset_batches: object, num_batches: Optional[int] = None
-    ) -> SystemRunResult:
-        total = len(dataset_batches)
-        num_batches = total if num_batches is None else num_batches
-        all_stats = self.simulate_cache(dataset_batches, num_batches)
-
-        # Price each batch's stages.
-        stage_times: List[Dict[str, float]] = []
-        result = SystemRunResult(system=self.name)
-        for stats in all_stats:
-            priced = cache_stage_times(self.cost, stats, self.future_window)
-            stage_times.append({k: v.seconds for k, v in priced.items()})
-            result.breakdowns.append(
-                IterationBreakdown(stages=tuple(priced.values()))
+    ) -> Iterator[IterationBreakdown]:
+        """Each retired batch's priced stages, streamed in trace order."""
+        for stats in self.stream_cache_stats(dataset_batches, num_batches):
+            yield IterationBreakdown(
+                stages=tuple(self.stage_times(stats).values())
             )
 
-        # Pipeline timing: cycle c advances every in-flight batch one stage;
-        # the cycle takes as long as its slowest occupied stage.
-        cycle_of_batch = _pipelined_cycle_times(
-            stage_times, self.hardware.stage_sync_s
-        )
+    def iteration_times(
+        self, breakdowns: Sequence[IterationBreakdown]
+    ) -> List[float]:
+        """The pipelined cycle each batch retires in (see
+        :mod:`repro.core.timeline`)."""
+        if not breakdowns:
+            return []
+        return PipelineTimeline(
+            stage_seconds=[breakdown.by_stage() for breakdown in breakdowns],
+            sync_seconds=self.hardware.stage_sync_s,
+        ).retired_cycle_seconds()
 
-        for index in range(num_batches):
-            result.iteration_times.append(cycle_of_batch[index])
-            # Both devices stay busy during a pipelined cycle (the GPU
-            # trains while the CPU collects/inserts for other batches).
-            result.energies.append(
-                self.energy_model.total_energy(
-                    [EnergySlice(seconds=cycle_of_batch[index], busy=(CPU, GPU))]
-                )
-            )
-        return result
+    def iteration_energy(
+        self, seconds: float, breakdown: IterationBreakdown
+    ) -> float:
+        # Both devices stay busy during a pipelined cycle (the GPU trains
+        # while the CPU collects/inserts for other batches).
+        return self.overlapped_energy(seconds)
 
 
 def plan_lookups(

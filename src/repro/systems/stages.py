@@ -25,8 +25,6 @@ EXCHANGE = "exchange"
 INSERT = "insert"
 TRAIN = "train"
 
-CACHE_STAGES = (PLAN, COLLECT, EXCHANGE, INSERT, TRAIN)
-
 
 def plan_time(cost: CostModel, stats: BatchCacheStats, future_window: int) -> float:
     """[Plan]: copy sparse IDs to the GPU, probe the Hit-Map for the current
@@ -72,7 +70,8 @@ def train_time(cost: CostModel, stats: BatchCacheStats) -> float:
 def cache_stage_times(
     cost: CostModel, stats: BatchCacheStats, future_window: int
 ) -> Dict[str, StageTime]:
-    """All five priced stages for one batch, keyed by stage name."""
+    """All five priced stages for one batch, keyed by stage name (in
+    ``PRICED_STAGE_OFFSETS`` order)."""
     return {
         PLAN: transfer_stage(PLAN, PLAN, plan_time(cost, stats, future_window)),
         COLLECT: transfer_stage(COLLECT, COLLECT, collect_time(cost, stats)),

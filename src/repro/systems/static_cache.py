@@ -10,7 +10,7 @@ duplicate-coalesce-scatter path plus PCIe crossings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.systems.base import (
     CPU_EMB_FORWARD,
     GPU_GROUP,
     IterationBreakdown,
-    SystemRunResult,
     TrainingSystem,
     cpu_stage,
     gpu_stage,
@@ -165,19 +164,9 @@ class StaticCacheSystem(TrainingSystem):
         )
         return IterationBreakdown(stages=stages)
 
-    def run_trace(
-        self, dataset_batches: object, num_batches: Optional[int] = None
-    ) -> SystemRunResult:
-        total = len(dataset_batches)
-        num_batches = total if num_batches is None else num_batches
-        result = SystemRunResult(system=self.name)
-        for index in range(num_batches):
-            split = split_batch(dataset_batches.batch(index), self.hot_rows)
-            breakdown = self.iteration_breakdown(split)
-            result.breakdowns.append(breakdown)
-            result.iteration_times.append(breakdown.total)
-            result.energies.append(breakdown.sequential_energy(self.energy_model))
-        return result
+    def batch_stats(self, batch: MiniBatch) -> SplitStats:
+        """The batch's hit/miss split against the pinned hot set."""
+        return split_batch(batch, self.hot_rows)
 
 
 @dataclass

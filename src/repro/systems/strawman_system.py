@@ -7,14 +7,14 @@ stage latencies — the cache-management steps sit on the critical path.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterator, Tuple
 
 from repro.api.registry import register_system
 from repro.api.specs import InvalidSystemSpecError, SystemSpec
 from repro.core.scratchpad import hazard_floor_slots, make_scratchpads
 from repro.core.strawman import StrawmanCache
 from repro.model.config import ModelConfig
-from repro.systems.base import IterationBreakdown, SystemRunResult, TrainingSystem
+from repro.systems.base import IterationBreakdown, TrainingSystem
 from repro.systems.stages import cache_stage_times
 
 
@@ -69,19 +69,12 @@ class StrawmanSystem(TrainingSystem):
                 scratchpad.reset()
         return StrawmanCache(config=self.config, scratchpads=self._scratchpads)
 
-    def run_trace(
-        self, dataset_batches: object, num_batches: Optional[int] = None
-    ) -> SystemRunResult:
-        total = len(dataset_batches)
-        num_batches = total if num_batches is None else num_batches
+    def stream_breakdowns(
+        self, dataset_batches: object, num_batches: int
+    ) -> Iterator[IterationBreakdown]:
         cache = self._make_cache()
-        result = SystemRunResult(system=self.name)
         for index in range(num_batches):
             stats = cache.run_batch(dataset_batches.batch(index))
             # Sequential execution needs no future window.
             stage_times = cache_stage_times(self.cost, stats, future_window=0)
-            breakdown = IterationBreakdown(stages=tuple(stage_times.values()))
-            result.breakdowns.append(breakdown)
-            result.iteration_times.append(breakdown.total)
-            result.energies.append(breakdown.sequential_energy(self.energy_model))
-        return result
+            yield IterationBreakdown(stages=tuple(stage_times.values()))

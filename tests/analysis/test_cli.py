@@ -125,6 +125,22 @@ class TestNewCommands:
         with pytest.raises(SystemExit):
             main(["timeline", "--locality", "nope"])
 
+    def test_timeline_prices_multi_gpu_scratchpipe_by_its_rule(self, capsys):
+        def train_utilisation(system, num_gpus):
+            spec = (f'{{"system": "{system}", "num_gpus": {num_gpus}, '
+                    '"cache": {"fraction": 0.05}}')
+            main(["--batches", "8", "--system", spec, "timeline"])
+            out = capsys.readouterr().out
+            assert "B7" in out and "steady-state cycle" in out
+            row = next(line for line in out.splitlines()
+                       if line.startswith("train "))
+            return float(row.split()[1].rstrip("%"))
+
+        # Two GPUs split the Train stage's embedding work, so it sits idle
+        # for more of each cycle than on one GPU.
+        assert (train_utilisation("multi_gpu_scratchpipe", 2)
+                < train_utilisation("scratchpipe", 1))
+
 
 class TestRealTraceFlow:
     """The fetch -> ingest -> --trace quickstart, end to end."""

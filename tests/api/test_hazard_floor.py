@@ -124,6 +124,18 @@ class TestPerSystemFloors:
         with pytest.raises(InvalidSystemSpecError, match="hazard-window"):
             build_system(too_small, PAPER, DEFAULT_HARDWARE)
 
+    def test_multi_gpu_scratchpipe_has_the_scratchpipe_floor(self):
+        # Each GPU runs ScratchPipe's own per-table caches, bounded by the
+        # same hold-mask window: 0.5% is below the 1.6% floor.
+        for num_gpus in (1, 2):
+            spec = SystemSpec(system="multi_gpu_scratchpipe",
+                              cache=CacheSpec(fraction=0.005),
+                              num_gpus=num_gpus)
+            with pytest.raises(InvalidSystemSpecError,
+                               match="hazard-window") as excinfo:
+                build_system(spec, PAPER, DEFAULT_HARDWARE)
+            assert str(PAPER_FLOOR) in str(excinfo.value)
+
     def test_static_cache_has_no_floor(self):
         # The static cache never evicts — any sliver of a cache is valid.
         spec = SystemSpec(system="static_cache",

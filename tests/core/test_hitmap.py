@@ -25,6 +25,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HitMap(num_slots=4, num_rows=0)
 
+    def test_id_universe_beyond_int32_rejected(self):
+        # Refused before the dense index (8 GB at this size) is allocated.
+        with pytest.raises(HitMapConfigError, match="int32"):
+            HitMap(num_slots=4, num_rows=2**31)
+
 
 class TestQuery:
     def test_miss_on_empty(self, hitmap):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import build_system, uniform_system_spec
+from repro.core.pipeline import PRICED_STAGE_OFFSETS
 from repro.data.trace import make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import tiny_config
@@ -13,7 +14,6 @@ from repro.serve import (
     format_serve_report,
     replay,
 )
-from repro.serve.loop import SERVE_STAGES
 from repro.systems.base import InsufficientSteadyStateError
 
 
@@ -57,9 +57,9 @@ class TestReplayBasics:
 
     def test_stage_axis_is_the_priced_pipeline(self, system, trace):
         report = replay(system, trace, _spec(50.0))
-        assert tuple(report.stage_percentiles) == SERVE_STAGES
-        assert SERVE_STAGES == ("plan", "collect", "exchange", "insert",
-                                "train")
+        assert tuple(report.stage_percentiles) == tuple(PRICED_STAGE_OFFSETS)
+        assert tuple(PRICED_STAGE_OFFSETS) == ("plan", "collect", "exchange",
+                                               "insert", "train")
 
     def test_percentiles_are_ordered(self, system, trace):
         report = replay(system, trace, _spec(2000.0), warmup=4)
@@ -183,5 +183,5 @@ class TestReportRendering:
         text = format_serve_report(report)
         for token in ("p50 ms", "p95 ms", "p99 ms", "end_to_end",
                       "SLA violations", "mean_latency ms", "warmup=4",
-                      *SERVE_STAGES):
+                      *PRICED_STAGE_OFFSETS):
             assert token in text

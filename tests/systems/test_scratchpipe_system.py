@@ -8,7 +8,7 @@ from repro.data.trace import make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import ModelConfig, tiny_config
 from repro.core.scratchpad import make_scratchpads
-from repro.systems.stages import CACHE_STAGES
+from repro.core.pipeline import PRICED_STAGE_OFFSETS
 
 
 @pytest.fixture
@@ -64,7 +64,7 @@ class TestTiming:
         dataset = make_dataset(cfg, "medium", seed=1, num_batches=16)
         result = system.run_trace(dataset)
         means = result.stage_means(warmup=8)
-        assert set(means) == set(CACHE_STAGES)
+        assert set(means) == set(PRICED_STAGE_OFFSETS)
 
     def test_pipelined_iteration_below_stage_sum(self):
         # The whole point of pipelining: the iteration time approaches the

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.pipeline import BatchCacheStats
+from repro.core.pipeline import PRICED_STAGE_OFFSETS, BatchCacheStats
 from repro.hardware.timing import CostModel
 from repro.systems.stages import (
-    CACHE_STAGES,
     cache_stage_times,
     collect_time,
     exchange_time,
@@ -35,7 +34,7 @@ def stats(lookups=327_680, unique=300_000, misses=40_000, writebacks=40_000):
 class TestStagePricing:
     def test_all_stages_priced(self, cost):
         times = cache_stage_times(cost, stats(), future_window=2)
-        assert set(times) == set(CACHE_STAGES)
+        assert set(times) == set(PRICED_STAGE_OFFSETS)
         assert all(t.seconds > 0 for t in times.values())
 
     def test_collect_is_cpu_bound(self, cost):

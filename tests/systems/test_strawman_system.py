@@ -7,7 +7,7 @@ from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import ModelConfig, tiny_config
 from repro.systems.hybrid import HybridSystem
-from repro.systems.stages import CACHE_STAGES
+from repro.core.pipeline import PRICED_STAGE_OFFSETS
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ class TestStrawmanSystem:
         )
         dataset = make_dataset(cfg, "medium", seed=2, num_batches=10)
         result = system.run_trace(dataset)
-        assert set(result.stage_means(warmup=0)) == set(CACHE_STAGES)
+        assert set(result.stage_means(warmup=0)) == set(PRICED_STAGE_OFFSETS)
 
     def test_beats_hybrid_baseline_at_scale(self):
         # Figure 13: even without pipelining, dynamic caching helps by

@@ -76,6 +76,29 @@ class TestFastExamples:
         assert "replay deterministic (rerun identical): True" in out
         assert "load shedding bounds the tail" in out
 
+    def test_pipeline_timeline(self, capsys):
+        run_example("pipeline_timeline.py")
+        out = capsys.readouterr().out
+        assert "ScratchPipe schedule — random trace, 2% cache" in out
+        assert "B11" in out and "more cycles" in out
+        assert "steady-state cycle:" in out
+        assert "bottleneck stage:    collect" in out
+        assert "hidden by overlap" in out
+
+    def test_system_comparison(self, capsys):
+        run_example("system_comparison.py")
+        out = capsys.readouterr().out
+        assert "41 GB model, 2% GPU cache" in out
+        rows = [line.split() for line in out.splitlines()
+                if line.split()[:1] in (["random"], ["low"], ["medium"],
+                                        ["high"])]
+        assert [row[0] for row in rows] == ["random", "low", "medium", "high"]
+        for row in rows:
+            hybrid, static, strawman, scratchpipe = map(float, row[1:5])
+            # Pipelining beats the straw-man, which beats the hybrid.
+            assert scratchpipe < strawman < hybrid
+            assert float(row[5].rstrip("x")) > 1.0  # speedup over static
+
     def test_locality_study(self, capsys):
         run_example("locality_study.py")
         out = capsys.readouterr().out

@@ -1,8 +1,8 @@
 """Cross-module integration tests.
 
 These exercise realistic end-to-end compositions that no single module's
-unit tests cover: loader-driven pipelines, trace files feeding systems,
-public API surface, and multi-epoch training behaviour.
+unit tests cover: trace files feeding systems, public API surface, and
+multi-epoch training behaviour.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 import repro
 from repro.core.pipeline import HazardMonitor, ScratchPipePipeline
 from repro.core.scratchpad import make_scratchpads, required_slots
-from repro.data.loader import LookaheadLoader
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.model.config import tiny_config
 from repro.model.dlrm import DLRMModel
@@ -39,22 +38,6 @@ class TestPublicApi:
                        repro.hardware, repro.model, repro.systems):
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
-
-
-class TestLoaderIntegration:
-    def test_loader_window_matches_pipeline_future_ids(self):
-        """The LookaheadLoader exposes exactly the IDs the Plan stage's
-        future window consumes."""
-        cfg = tiny_config(rows_per_table=300, batch_size=4,
-                          lookups_per_table=2, num_tables=1)
-        dataset = make_dataset(cfg, "medium", seed=5, num_batches=8)
-        loader = LookaheadLoader(dataset, lookahead=4)
-        loader.next_batch()  # cursor at 1
-        window = loader.window_ids(0, [1, 2])  # batches 2 and 3
-        expected = np.unique(np.concatenate([
-            dataset.batch(2).table_ids(0), dataset.batch(3).table_ids(0)
-        ]))
-        assert np.array_equal(window, expected)
 
 
 class TestMultiEpochTraining:
