@@ -3,8 +3,9 @@
 
 Demonstrates the property ScratchPipe is built on — the training dataset is
 a file that records the sparse IDs of *all* upcoming iterations — by
-generating a trace, saving it to disk, and then driving the full pipelined
-runtime (with its look-forward Plan stage) straight off the file.
+generating a trace, compiling it to the binary trace format, and then
+driving the full pipelined runtime (with its look-forward Plan stage)
+straight off the memmapped file.
 
 Run:  python examples/trace_replay.py
 """
@@ -16,7 +17,7 @@ import numpy as np
 
 from repro import DLRMModel, make_dataset, required_slots, tiny_config
 from repro.core import HazardMonitor
-from repro.data import TraceFile, save_trace
+from repro.data import CompiledTraceSource, compile_trace
 from repro.model import SGD
 from repro.systems import ScratchPipeTrainingRun
 
@@ -31,13 +32,12 @@ def main() -> None:
                            with_dense=True)
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "criteo_like_trace.npz"
-        save_trace(path, [dataset.batch(i) for i in range(NUM_BATCHES)], config)
-        print(f"saved trace: {path.name} "
+        path = compile_trace(dataset, Path(tmp) / "criteo_like_trace.rtrc")
+        print(f"compiled trace: {path.name} "
               f"({path.stat().st_size / 1e3:.0f} kB, {NUM_BATCHES} batches)")
 
-        trace = TraceFile(path)
-        trace.validate_against(config)
+        # Opening against the model's config validates the file's geometry.
+        trace = CompiledTraceSource(path, config=config)
 
         init = DLRMModel.initialise(config, seed=3)
         run = ScratchPipeTrainingRun(

@@ -10,15 +10,14 @@ unit-testable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ExperimentConfigError
 from repro.analysis.cost import CostRow, multi_gpu_row, scratchpipe_row
 from repro.analysis.locality import access_count_curve, dataset_hit_rate_curves
-from repro.analysis.sweep import SweepPoint, run_grid
+from repro.analysis.sweep import SweepPoint, _cached_trace, run_grid, trace_key
 from repro.api.factory import build_system
 from repro.api.specs import (
     CacheSpec,
@@ -28,14 +27,9 @@ from repro.api.specs import (
 )
 from repro.core.scratchpad import worst_case_storage_bytes
 from repro.data.datasets import DATASET_PROFILES, LOCALITY_CLASSES
-from repro.data.scenarios import (
-    CorrelationSpec,
-    DriftSpec,
-    ScenarioSpec,
-    build_scenario,
-)
+from repro.data.scenarios import CorrelationSpec, DriftSpec, ScenarioSpec
 from repro.data.io import TraceFileSpec
-from repro.data.trace import MaterialisedDataset, make_dataset
+from repro.data.trace import MaterialisedDataset
 from repro.hardware.spec import DEFAULT_HARDWARE, HardwareSpec
 from repro.model.config import ModelConfig
 from repro.systems.base import SystemRunResult, TrainingSystem
@@ -64,21 +58,15 @@ def effective_warmup(num_batches: int, warmup: int = WARMUP) -> int:
     return min(warmup, max(num_batches - 1, 0))
 
 
-@lru_cache(maxsize=4)
-def _materialise_file_trace(
-    trace_file: TraceFileSpec, config: ModelConfig, num_batches: int
-) -> MaterialisedDataset:
-    """Memoised :meth:`TraceFileSpec.materialise` per (spec, config, length).
-
-    Figures iterate several locality labels over one setup; without the
-    memo each label would re-verify and re-parse the same file.
-    """
-    return trace_file.materialise(config, num_batches)
-
-
 @dataclass(frozen=True)
 class ExperimentSetup:
     """Shared experiment parameters.
+
+    Sweep points (:meth:`point`) and in-process figures (:meth:`trace`)
+    get their traces from the sweep's one trace builder
+    (:func:`~repro.analysis.sweep.trace_key` → ``_cached_trace``).  The
+    geometry sweeps (Figure 15, the VI-E sensitivities) replace only
+    ``config``; every other field carries through.
 
     Attributes:
         config: Model geometry (paper defaults unless a sweep overrides).
@@ -134,27 +122,16 @@ class ExperimentSetup:
             )
 
     def trace(self, locality: str) -> MaterialisedDataset:
-        """Materialise the benchmark trace for one locality class.
+        """The benchmark trace for one locality class, memoised by the
+        sweep's trace builder.
 
         With a ``trace_file`` the file is authoritative and ``locality``
         only labels the point.
         """
-        if self.trace_file is not None:
-            return _materialise_file_trace(
-                self.trace_file, self.config, self.num_batches
-            )
-        if self.scenario is not None and not self.scenario.is_stationary:
-            source = build_scenario(
-                self.config,
-                self.scenario.with_locality(locality),
-                seed=self.seed,
-                num_batches=self.num_batches,
-            )
-            return MaterialisedDataset(source)
-        dataset = make_dataset(
-            self.config, locality, seed=self.seed, num_batches=self.num_batches
-        )
-        return MaterialisedDataset(dataset)
+        return _cached_trace(trace_key(
+            self.config, locality, self.seed, self.num_batches,
+            self.scenario, self.trace_file,
+        ))
 
     def point(
         self,
@@ -438,6 +415,33 @@ def _reject_file_trace(base: "ExperimentSetup", what: str) -> None:
         )
 
 
+def _geometry_sweep(
+    base: "ExperimentSetup",
+    what: str,
+    variants: Iterable[Tuple[str, ModelConfig]],
+    cache_fraction: float,
+    localities: Sequence[str],
+    workers: int,
+) -> List[SpeedupPoint]:
+    """Figure 13 at one cache size for each ``(label, config)`` variant.
+
+    Each variant is ``base`` with only its config replaced, so the base
+    setup's scenario, executor, seed and trace length carry through;
+    every row's locality is suffixed ``/<label>``.
+    """
+    _reject_file_trace(base, what)
+    points: List[SpeedupPoint] = []
+    for label, config in variants:
+        for point in fig13_speedup(
+            replace(base, config=config), cache_fractions=(cache_fraction,),
+            localities=localities, workers=workers,
+        ):
+            points.append(
+                replace(point, locality=f"{point.locality}/{label}")
+            )
+    return points
+
+
 def fig15a_dim_sensitivity(
     dims: Sequence[int] = (64, 128, 256),
     cache_fraction: float = 0.02,
@@ -446,31 +450,16 @@ def fig15a_dim_sensitivity(
 ) -> List[SpeedupPoint]:
     """Speedups when sweeping the embedding dimension (Figure 15(a))."""
     base = base or ExperimentSetup()
-    _reject_file_trace(base, "fig15a")
-    points: List[SpeedupPoint] = []
-    for dim in dims:
-        bottom = tuple(base.config.bottom_mlp[:-1]) + (dim,)
-        config = base.config.scaled(embedding_dim=dim, bottom_mlp=bottom)
-        setup = ExperimentSetup(
-            config=config,
-            hardware=base.hardware,
-            num_batches=base.num_batches,
-            seed=base.seed,
-        )
-        for point in fig13_speedup(
-            setup, cache_fractions=(cache_fraction,), workers=workers
-        ):
-            points.append(
-                SpeedupPoint(
-                    locality=f"{point.locality}/dim={dim}",
-                    cache_fraction=point.cache_fraction,
-                    hybrid_s=point.hybrid_s,
-                    static_s=point.static_s,
-                    strawman_s=point.strawman_s,
-                    scratchpipe_s=point.scratchpipe_s,
-                )
-            )
-    return points
+    variants = (
+        (f"dim={dim}", base.config.scaled(
+            embedding_dim=dim,
+            bottom_mlp=tuple(base.config.bottom_mlp[:-1]) + (dim,),
+        ))
+        for dim in dims
+    )
+    return _geometry_sweep(
+        base, "fig15a", variants, cache_fraction, LOCALITY_CLASSES, workers
+    )
 
 
 def fig15b_lookup_sensitivity(
@@ -489,30 +478,13 @@ def fig15b_lookup_sensitivity(
     unskewed "random" locality).
     """
     base = base or ExperimentSetup()
-    _reject_file_trace(base, "fig15b")
-    points: List[SpeedupPoint] = []
-    for n_lookups in lookups:
-        config = base.config.scaled(lookups_per_table=n_lookups)
-        setup = ExperimentSetup(
-            config=config,
-            hardware=base.hardware,
-            num_batches=base.num_batches,
-            seed=base.seed,
-        )
-        for point in fig13_speedup(
-            setup, cache_fractions=(cache_fraction,), workers=workers
-        ):
-            points.append(
-                SpeedupPoint(
-                    locality=f"{point.locality}/lookups={n_lookups}",
-                    cache_fraction=point.cache_fraction,
-                    hybrid_s=point.hybrid_s,
-                    static_s=point.static_s,
-                    strawman_s=point.strawman_s,
-                    scratchpipe_s=point.scratchpipe_s,
-                )
-            )
-    return points
+    variants = (
+        (f"lookups={n}", base.config.scaled(lookups_per_table=n))
+        for n in lookups
+    )
+    return _geometry_sweep(
+        base, "fig15b", variants, cache_fraction, LOCALITY_CLASSES, workers
+    )
 
 
 def replacement_policy_sensitivity(
@@ -553,31 +525,14 @@ def batch_size_sensitivity(
     use.
     """
     base = base or ExperimentSetup()
-    _reject_file_trace(base, "batch-size sensitivity")
-    points: List[SpeedupPoint] = []
-    for batch_size in batch_sizes:
-        config = base.config.scaled(batch_size=batch_size)
-        setup = ExperimentSetup(
-            config=config,
-            hardware=base.hardware,
-            num_batches=base.num_batches,
-            seed=base.seed,
-        )
-        for point in fig13_speedup(
-            setup, cache_fractions=(cache_fraction,), localities=localities,
-            workers=workers,
-        ):
-            points.append(
-                SpeedupPoint(
-                    locality=f"{point.locality}/batch={batch_size}",
-                    cache_fraction=point.cache_fraction,
-                    hybrid_s=point.hybrid_s,
-                    static_s=point.static_s,
-                    strawman_s=point.strawman_s,
-                    scratchpipe_s=point.scratchpipe_s,
-                )
-            )
-    return points
+    variants = (
+        (f"batch={size}", base.config.scaled(batch_size=size))
+        for size in batch_sizes
+    )
+    return _geometry_sweep(
+        base, "batch-size sensitivity", variants, cache_fraction,
+        localities, workers,
+    )
 
 
 def mlp_intensity_sensitivity(
@@ -596,32 +551,16 @@ def mlp_intensity_sensitivity(
     while remaining above 1x.
     """
     base = base or ExperimentSetup()
-    _reject_file_trace(base, "MLP-intensity sensitivity")
-    points: List[SpeedupPoint] = []
-    for multiplier in width_multipliers:
-        top = tuple(h * multiplier for h in base.config.top_mlp[:-1]) + (1,)
-        config = base.config.scaled(top_mlp=top)
-        setup = ExperimentSetup(
-            config=config,
-            hardware=base.hardware,
-            num_batches=base.num_batches,
-            seed=base.seed,
-        )
-        for point in fig13_speedup(
-            setup, cache_fractions=(cache_fraction,), localities=localities,
-            workers=workers,
-        ):
-            points.append(
-                SpeedupPoint(
-                    locality=f"{point.locality}/mlp_x{multiplier}",
-                    cache_fraction=point.cache_fraction,
-                    hybrid_s=point.hybrid_s,
-                    static_s=point.static_s,
-                    strawman_s=point.strawman_s,
-                    scratchpipe_s=point.scratchpipe_s,
-                )
-            )
-    return points
+    variants = (
+        (f"mlp_x{m}", base.config.scaled(
+            top_mlp=tuple(h * m for h in base.config.top_mlp[:-1]) + (1,)
+        ))
+        for m in width_multipliers
+    )
+    return _geometry_sweep(
+        base, "MLP-intensity sensitivity", variants, cache_fraction,
+        localities, workers,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -18,22 +18,23 @@ Two properties make the parallel path safe:
   shared memory.  Each worker memoises the traces *and system instances*
   it has built.
 
-Trace distribution (workers > 1):
-
-* **Shared memory (the default)** — the parent materialises each unique
-  trace of the grid once, publishes its stacked sparse-ID array in a
-  ``multiprocessing.shared_memory`` segment, and ships workers only the
-  segment name + shape.  Workers map the segment and build zero-copy
-  ``MiniBatch`` views, so a pool of N workers holds one copy of each trace
-  instead of N, and worker start-up serialises kilobytes of specs rather
-  than megabytes of trace.  Segment lifetime is owned by a
-  :class:`_PublishedTraces` context manager: close+unlink runs on *every*
-  exit path — mid-publish failures, worker crashes, quarantined grids —
-  and a failure to release one segment never skips the rest.
-* **On-disk cache (opt-in)** — when ``REPRO_TRACE_CACHE`` names a
-  directory, traces are memoised to ``.npz`` archives there instead
-  (:mod:`repro.data.io`), surviving across runs.  The user owns
-  invalidation of a persistent cache.
+Trace distribution: every trace is named by a :data:`TraceKey`
+(:func:`trace_key`) and resolved by :func:`_cached_trace` — the one trace
+builder, shared with ``ExperimentSetup.trace`` — in two steps: a
+parent-published shared-memory segment, else regeneration from the key.
+With workers > 1 the parent materialises each unique trace of the grid
+once, publishes its stacked sparse-ID array in a
+``multiprocessing.shared_memory`` segment, and ships workers only the
+segment name + shape.  Workers map the segment and build zero-copy
+``MiniBatch`` views, so a pool of N workers holds one copy of each trace
+instead of N, and worker start-up serialises kilobytes of specs rather
+than megabytes of trace.  Segment lifetime is owned by a
+:class:`_PublishedTraces` context manager: close+unlink runs on *every*
+exit path — mid-publish failures, worker crashes, quarantined grids — and
+a failure to release one segment never skips the rest.  Traces live only
+for the run; to reuse one across runs, compile it once
+(:func:`repro.data.io.compile_trace` or ``repro.cli ingest``) and replay
+the file through a :class:`~repro.data.io.TraceFileSpec` (``--trace``).
 
 Resilience (the long-running-sweep contract):
 
@@ -98,7 +99,7 @@ from typing import (
 
 import numpy as np
 
-from repro._env import read_env, write_env
+from repro._env import read_env
 from repro.errors import SweepConfigError
 from repro.analysis.shm import (
     _PublishedTraces,
@@ -110,7 +111,7 @@ from repro.analysis.shm import (
 )
 from repro.api.factory import build_system
 from repro.api.specs import SystemSpec, uniform_system_spec
-from repro.data.io import TraceFileSpec, materialise_cached
+from repro.data.io import TraceFileSpec
 from repro.data.scenarios import ScenarioSpec, build_scenario
 from repro.data.trace import MaterialisedDataset, MiniBatch, make_dataset
 from repro.hardware.spec import HardwareSpec
@@ -142,17 +143,11 @@ _SERVE_METRIC = "serve"
 #: ``system_spec`` may name any registered system.
 SYSTEMS = ("hybrid", "static_cache", "strawman", "scratchpipe")
 
-#: Environment variable naming the on-disk trace cache directory.
-TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
-
 #: Optional directory where every trace *generation* drops a marker file —
 #: the observability hook the serialisation/regeneration-counting tests
 #: use to prove workers map shared memory instead of regenerating (or
 #: receiving pickled) traces.
 TRACE_GEN_LOG_ENV = "REPRO_TRACE_GEN_LOG"
-
-#: Override for the trace-publication thread count (``run_grid`` parent).
-PUBLISH_THREADS_ENV = "REPRO_PUBLISH_THREADS"
 
 #: Trace key: everything a worker needs to regenerate a trace from scratch.
 #: The final component addresses a real-trace file; workers re-open the
@@ -326,26 +321,11 @@ class SweepPoint:
 
     @property
     def trace_key(self) -> TraceKey:
-        """Everything that determines this point's trace content.
-
-        Stationary specs normalise to ``None`` — they generate traces
-        bit-identical to the legacy path, so giving them a distinct key
-        would duplicate cache entries and shared-memory segments.
-        """
-        effective = self.scenario
-        if effective is not None:
-            if effective.is_stationary:
-                effective = None
-            else:
-                effective = effective.with_locality(self.locality)
-        # File-backed content depends only on (file spec, config,
-        # length): normalise the synthetic-only axes so seed replicates
-        # and locality labels share one materialisation + shm segment.
-        if self.trace_file is not None:
-            return (self.config, "trace", 0, self.num_batches,
-                    effective, self.trace_file)
-        return (self.config, self.locality, self.seed, self.num_batches,
-                effective, self.trace_file)
+        """Everything that determines this point's trace content."""
+        return trace_key(
+            self.config, self.locality, self.seed, self.num_batches,
+            self.scenario, self.trace_file,
+        )
 
     def label(self) -> str:
         """Compact human-readable identity for reports and fault details."""
@@ -353,6 +333,33 @@ class SweepPoint:
             f"{self.system}:{self.locality}:cache={self.cache_fraction:g}:"
             f"{self.metric}:seed={self.seed}"
         )
+
+
+def trace_key(
+    config: ModelConfig,
+    locality: str,
+    seed: int,
+    num_batches: int,
+    scenario: Optional[ScenarioSpec],
+    trace_file: Optional[TraceFileSpec],
+) -> TraceKey:
+    """The normalised key of one trace description.
+
+    Stationary specs normalise to ``None`` — they generate traces
+    bit-identical to the legacy path, so giving them a distinct key would
+    duplicate memo entries and shared-memory segments.
+    """
+    if scenario is not None:
+        scenario = (
+            None if scenario.is_stationary
+            else scenario.with_locality(locality)
+        )
+    # File-backed content depends only on (file spec, config, length):
+    # normalise the synthetic-only axes so seed replicates and locality
+    # labels share one materialisation + shm segment.
+    if trace_file is not None:
+        return (config, "trace", 0, num_batches, scenario, trace_file)
+    return (config, locality, seed, num_batches, scenario, trace_file)
 
 
 def point_key(point: SweepPoint) -> str:
@@ -378,12 +385,13 @@ def _log_trace_generation(key: TraceKey) -> None:
 
 
 def _generate_trace(key: TraceKey) -> MaterialisedDataset:
-    """Materialise one trace from its key (generation, not lookup)."""
+    """Materialise one trace from its :func:`trace_key` (generation, not
+    lookup): a file, a non-stationary scenario, or a synthetic trace."""
     config, locality, seed, num_batches, scenario, trace_file = key
     _log_trace_generation(key)
     if trace_file is not None:
         return trace_file.materialise(config, num_batches)
-    if scenario is not None and not scenario.is_stationary:
+    if scenario is not None:
         source = build_scenario(
             config, scenario, seed=seed, num_batches=num_batches
         )
@@ -395,21 +403,14 @@ def _generate_trace(key: TraceKey) -> MaterialisedDataset:
 
 @lru_cache(maxsize=8)
 def _cached_trace(key: TraceKey) -> MaterialisedDataset:
-    """Resolve (and memoise, per process) one benchmark trace.
+    """Resolve (and memoise, per process) one trace.
 
-    Resolution order: parent-published shared memory (zero-copy), then the
-    on-disk archive cache when :data:`TRACE_CACHE_ENV` is set, then
+    Resolution order: parent-published shared memory (zero-copy), else
     regeneration from the key.
     """
     shared = _attach_shared_trace(key)
     if shared is not None:
         return shared
-    config, locality, seed, num_batches, scenario, trace_file = key
-    cache_dir = read_env(TRACE_CACHE_ENV)
-    if cache_dir and trace_file is None and (
-        scenario is None or scenario.is_stationary
-    ):
-        return materialise_cached(config, locality, seed, num_batches, cache_dir)
     return _generate_trace(key)
 
 
@@ -461,12 +462,7 @@ def run_point(point: SweepPoint) -> Any:
     return getattr(result, point.metric)(warmup=point.warmup)
 
 
-def _worker_init(
-    cache_dir: Optional[str],
-    manifest: Dict[TraceKey, Tuple[str, Tuple[int, ...]]],
-) -> None:
-    if cache_dir:
-        write_env(TRACE_CACHE_ENV, cache_dir)
+def _worker_init(manifest: Dict[TraceKey, Tuple[str, Tuple[int, ...]]]) -> None:
     install_manifest(manifest)
     # Under the fork start method the worker inherits the parent's memo
     # caches — including any traces the parent materialised while
@@ -480,36 +476,15 @@ def _worker_init(
     faults.reset_arrivals()
 
 
-def _disk_cacheable(key: TraceKey) -> bool:
-    """Whether :func:`materialise_cached` can serve this trace key."""
-    scenario, trace_file = key[4], key[5]
-    return trace_file is None and (scenario is None or scenario.is_stationary)
-
-
 def _publish_threads(num_keys: int) -> int:
     """Trace-generation thread count for the publication pipeline."""
-    raw = read_env(PUBLISH_THREADS_ENV)
-    if raw is not None:
-        try:
-            count = int(raw)
-        except ValueError:
-            raise SweepConfigError(
-                f"{PUBLISH_THREADS_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if count < 1:
-            raise SweepConfigError(
-                f"{PUBLISH_THREADS_ENV} must be >= 1, got {count}"
-            )
-    else:
-        count = min(4, os.cpu_count() or 1)
-    return min(count, max(num_keys, 1))
+    return min(4, os.cpu_count() or 1, max(num_keys, 1))
 
 
 def _publish_shared_traces(
     points: Sequence[SweepPoint],
     manifest: Dict[TraceKey, Tuple[str, Tuple[int, ...]]],
     segments: List[Any],
-    skip_disk_cacheable: bool,
 ) -> None:
     """Materialise each unique trace once and publish it in shared memory.
 
@@ -518,14 +493,12 @@ def _publish_shared_traces(
     so segments created before a mid-publish failure are still released.
     The parent pays one generation per unique trace — the same total work
     one worker would have done — and every worker maps, rather than
-    copies, the result.  With ``skip_disk_cacheable`` (an explicit
-    ``REPRO_TRACE_CACHE``), only the keys the disk cache *cannot* serve —
-    non-stationary scenario traces — are published.  The raw segment
-    handling lives in :mod:`repro.analysis.shm` (the one module allowed
-    to touch ``multiprocessing.shared_memory``).
+    copies, the result.  The raw segment handling lives in
+    :mod:`repro.analysis.shm` (the one module allowed to touch
+    ``multiprocessing.shared_memory``).
 
-    Generation runs on a small thread pool (``REPRO_PUBLISH_THREADS``,
-    default ``min(4, cpus)``): the numpy sampling inside
+    Generation runs on a small thread pool (``min(4, cpus, unique
+    traces)`` threads): the numpy sampling inside
     :func:`make_dataset` releases the GIL, so wide grids with several
     unique traces overlap generation instead of serialising the whole
     dispatch behind it.  Publication itself stays on the calling thread,
@@ -539,8 +512,6 @@ def _publish_shared_traces(
     for point in points:
         key = point.trace_key
         if key in manifest or key in queued:
-            continue
-        if skip_disk_cacheable and _disk_cacheable(key):
             continue
         queued.add(key)
         keys.append(key)
@@ -939,14 +910,10 @@ def _run_grid(
 
 
 def _make_pool(
-    workers: int,
-    cache_dir: Optional[str],
-    manifest: Dict[TraceKey, Tuple[str, Tuple[int, ...]]],
+    workers: int, manifest: Dict[TraceKey, Tuple[str, Tuple[int, ...]]]
 ) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_worker_init,
-        initargs=(cache_dir, manifest),
+        max_workers=workers, initializer=_worker_init, initargs=(manifest,)
     )
 
 
@@ -983,7 +950,6 @@ def _run_grid_parallel(
     rng: random.Random,
 ) -> None:
     """The resilient scheduler: dispatch, recover, retry, quarantine."""
-    cache_dir = read_env(TRACE_CACHE_ENV)
     attempts: Dict[int, int] = {}
     retry_at: Dict[int, float] = {}
     queue = deque(pending)
@@ -1020,14 +986,13 @@ def _run_grid_parallel(
             [points[i] for i in pending],
             shared.manifest,
             shared.segments,
-            skip_disk_cacheable=bool(cache_dir),
         )
         # The parent runs no points itself when workers > 1; dropping its
         # memoised traces here leaves the shared segments as the only
         # copy instead of pinning a private duplicate (arrays + unique
         # sets) in the parent for the life of the process.
         _cached_trace.cache_clear()
-        pool = _make_pool(workers, cache_dir, shared.manifest)
+        pool = _make_pool(workers, shared.manifest)
         inflight: Dict[Future, Tuple[int, float]] = {}
         try:
             while queue or inflight or retry_at:
@@ -1130,6 +1095,6 @@ def _run_grid_parallel(
                         index, _started = inflight.pop(future)
                         queue.append(index)
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = _make_pool(workers, cache_dir, shared.manifest)
+                    pool = _make_pool(workers, shared.manifest)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)

@@ -383,7 +383,8 @@ def cmd_compare(args: argparse.Namespace) -> None:
 
     ``--cache-spec`` replaces the uniform ``--cache`` fraction for every
     cached design (including heterogeneous per-table splits); ``--system``
-    appends an extra spec-built row to the comparison.
+    appends an extra spec-built row to the comparison, named after its
+    system and, for a cached design, its own cache.
     """
     if args.locality not in LOCALITY_CLASSES and not args.trace:
         raise SystemExit(
@@ -400,7 +401,10 @@ def cmd_compare(args: argparse.Namespace) -> None:
     }
     if getattr(args, "system", None):
         extra = _dynamic_spec(args, args.cache)
-        specs[f"custom ({extra.system})"] = extra
+        name = f"custom ({extra.system})"
+        if extra.cache is not None:
+            name += f" {_cache_label(extra.cache)}"
+        specs[name] = extra
     # The sequential baselines have no pipeline fill to exclude; the
     # pipelined designs warm up over (at most) the trace the run affords.
     pipelined_warmup = effective_warmup(args.batches)

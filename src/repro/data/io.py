@@ -1,22 +1,24 @@
-"""Trace persistence: archives, the compiled binary format, and trace specs.
+"""Trace persistence: the compiled binary format and trace-file specs.
 
 Real deployments train from dataset files on disk — which is precisely the
 property ScratchPipe exploits ("the training dataset records exactly which
 indices to utilize ... for all upcoming training iterations").  This module
-owns every on-disk trace representation:
+owns the one on-disk trace representation and its addressing:
 
-* ``.npz`` archives (:func:`save_trace` / :class:`TraceFile`) — the
-  compressed interchange form used by the on-disk sweep cache;
 * the **compiled binary format** (:func:`compile_trace` /
   :class:`CompiledTraceSource`) — a small JSON header plus a packed int32
   ID array, memmapped for zero-copy O(1) random access in any order.
   Compiling a TSV once removes parsing (and the TSV reader's
-  rewind-on-backward-seek) from every later experiment;
+  rewind-on-backward-seek) from every later experiment, and compiling any
+  other :class:`~repro.data.trace.TraceSource` (synthetic, scenario) is
+  the way to persist a trace across runs (``repro.cli ingest`` does it
+  from the command line);
 * :class:`TraceFileSpec` — a frozen, hashable, picklable description of a
   trace **file** (path + sha256 pin + geometry mapping), the file-backed
   twin of :class:`~repro.data.scenarios.ScenarioSpec`: sweep grids and
   ``ExperimentSetup`` address real traces through it, so file-backed
-  points ship through the existing spec-only worker dispatch.
+  points ship through the existing spec-only worker dispatch.  It opens
+  compiled traces and raw Criteo-style TSV files.
 """
 
 from __future__ import annotations
@@ -27,20 +29,15 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.errors import TraceFormatError
-from repro.data.trace import (
-    MaterialisedDataset,
-    MiniBatch,
-    TraceSource,
-    make_dataset,
-)
+from repro.data.trace import MaterialisedDataset, MiniBatch, TraceSource
 from repro.model.config import ModelConfig
 
-#: Format marker stored inside every trace archive.
+#: Layout version stored in every compiled trace's header.
 FORMAT_VERSION = 1
 
 
@@ -62,168 +59,6 @@ def sha256_file(path: Union[str, Path], chunk_bytes: int = 1 << 20) -> str:
                 break
             digest.update(block)
     return digest.hexdigest()
-
-
-def save_trace(
-    path: Union[str, Path],
-    batches: List[MiniBatch],
-    config: ModelConfig,
-) -> None:
-    """Write a list of mini-batches to ``path`` as a compressed ``.npz``.
-
-    Args:
-        path: Destination file (``.npz`` appended by numpy if missing).
-        batches: Batches in trace order; all must share the batch geometry
-            of ``config`` and agree on whether dense features are present.
-    """
-    if not batches:
-        raise TraceFormatError("cannot save an empty trace")
-    has_dense = batches[0].dense is not None
-    for batch in batches:
-        if batch.sparse_ids.shape != batches[0].sparse_ids.shape:
-            raise TraceFormatError("all batches must share one sparse-ID shape")
-        if (batch.dense is not None) != has_dense:
-            raise TraceFormatError("all batches must agree on dense presence")
-
-    payload = {
-        "format_version": np.int64(FORMAT_VERSION),
-        "num_tables": np.int64(config.num_tables),
-        "rows_per_table": np.int64(config.rows_per_table),
-        "lookups_per_table": np.int64(config.lookups_per_table),
-        "batch_size": np.int64(config.batch_size),
-        "sparse_ids": np.stack([b.sparse_ids for b in batches]),
-    }
-    if has_dense:
-        payload["dense"] = np.stack([b.dense for b in batches])
-        payload["labels"] = np.stack([b.labels for b in batches])
-    np.savez_compressed(Path(path), **payload)
-
-
-class TraceFile(TraceSource):
-    """A saved trace, exposing the :class:`TraceSource` protocol.
-
-    Drop-in replacement for :class:`repro.data.trace.SyntheticDataset` in
-    every system/pipeline API, including chunk-wise streaming.
-    """
-
-    def __init__(
-        self, path: Union[str, Path], max_batches: Optional[int] = None
-    ):
-        archive = np.load(Path(path))
-        version = int(archive["format_version"])
-        if version != FORMAT_VERSION:
-            raise TraceFormatError(
-                f"unsupported trace format {version}; expected {FORMAT_VERSION}"
-            )
-        self._sparse = archive["sparse_ids"]
-        self._dense = archive["dense"] if "dense" in archive else None
-        self._labels = archive["labels"] if "labels" in archive else None
-        if max_batches is not None:
-            if max_batches < 1:
-                raise TraceFormatError(
-                    f"max_batches must be >= 1, got {max_batches}"
-                )
-            self._sparse = self._sparse[:max_batches]
-            if self._dense is not None:
-                self._dense = self._dense[:max_batches]
-            if self._labels is not None:
-                self._labels = self._labels[:max_batches]
-        self.num_tables = int(archive["num_tables"])
-        self.rows_per_table = int(archive["rows_per_table"])
-        self.lookups_per_table = int(archive["lookups_per_table"])
-        self.batch_size = int(archive["batch_size"])
-
-    def __len__(self) -> int:
-        return self._sparse.shape[0]
-
-    def batch(self, index: int) -> MiniBatch:
-        """Materialise batch ``index`` from the archive."""
-        if not 0 <= index < len(self):
-            raise IndexError(f"batch index {index} out of range [0, {len(self)})")
-        return MiniBatch(
-            index=index,
-            sparse_ids=self._sparse[index],
-            dense=None if self._dense is None else self._dense[index],
-            labels=None if self._labels is None else self._labels[index],
-        )
-
-    def __getitem__(self, index: int) -> MiniBatch:
-        return self.batch(index)
-
-    def batches(self) -> List[MiniBatch]:
-        """Materialise every batch of the archive, in trace order."""
-        return [self.batch(i) for i in range(len(self))]
-
-    def validate_against(self, config: ModelConfig) -> None:
-        """Raise if the archive's geometry does not match ``config``."""
-        mismatches = []
-        if self.num_tables != config.num_tables:
-            mismatches.append("num_tables")
-        if self.rows_per_table != config.rows_per_table:
-            mismatches.append("rows_per_table")
-        if self.lookups_per_table != config.lookups_per_table:
-            mismatches.append("lookups_per_table")
-        if self.batch_size != config.batch_size:
-            mismatches.append("batch_size")
-        if mismatches:
-            raise TraceFormatError(
-                "trace/config geometry mismatch on: " + ", ".join(mismatches)
-            )
-
-
-# ----------------------------------------------------------------------
-# On-disk memoisation of synthetic traces
-# ----------------------------------------------------------------------
-def trace_cache_path(
-    cache_dir: Union[str, Path],
-    config: ModelConfig,
-    locality: str,
-    seed: int,
-    num_batches: int,
-) -> Path:
-    """Deterministic archive path for one synthetic-trace specification.
-
-    The key hashes the full model geometry plus the trace parameters, so
-    any change to either lands in a fresh file.
-    """
-    spec = repr((config, locality, seed, num_batches))
-    digest = hashlib.sha1(spec.encode()).hexdigest()[:20]
-    return Path(cache_dir) / f"trace-{digest}.npz"
-
-
-def materialise_cached(
-    config: ModelConfig,
-    locality: str,
-    seed: int,
-    num_batches: int,
-    cache_dir: Union[str, Path],
-) -> MaterialisedDataset:
-    """Materialise a synthetic trace, memoised to ``cache_dir`` on disk.
-
-    The first caller generates the trace and publishes it with an atomic
-    rename; later callers (including other worker processes of a sweep
-    pool) load the archive instead of re-sampling the distributions.  The
-    round-trip is lossless, so the loaded dataset is bit-identical to a
-    freshly generated one.
-    """
-    path = trace_cache_path(cache_dir, config, locality, seed, num_batches)
-    if path.exists():
-        archive = TraceFile(path)
-        archive.validate_against(config)
-        return MaterialisedDataset.from_batches(config, archive.batches())
-    dataset = MaterialisedDataset(
-        make_dataset(config, locality, seed=seed, num_batches=num_batches)
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    scratch = path.with_name(f".{path.stem}.{os.getpid()}.npz")
-    try:
-        save_trace(scratch, list(dataset), config)
-        os.replace(scratch, path)
-    except OSError:
-        # Publishing the cache entry is best-effort; the dataset itself is
-        # already materialised in memory.
-        scratch.unlink(missing_ok=True)
-    return dataset
 
 
 # ----------------------------------------------------------------------
@@ -542,21 +377,17 @@ class CompiledTraceSource(TraceSource):
 # ----------------------------------------------------------------------
 # TraceFileSpec — the spec-addressable description of a trace file
 # ----------------------------------------------------------------------
-#: Formats a TraceFileSpec can name; ``auto`` sniffs magic/extension.
-TRACE_FILE_FORMATS = ("auto", "compiled", "tsv", "npz")
+#: Formats a TraceFileSpec can name; ``auto`` sniffs the compiled magic.
+TRACE_FILE_FORMATS = ("auto", "compiled", "tsv")
 
 _SHA256_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
 def sniff_trace_format(path: Union[str, Path]) -> str:
-    """Detect a trace file's format from its magic bytes / extension."""
+    """Detect a trace file's format from its magic bytes."""
     with open(path, "rb") as fh:
         head = fh.read(len(COMPILED_MAGIC))
-    if head == COMPILED_MAGIC:
-        return "compiled"
-    if head[:2] == b"PK" or str(path).endswith(".npz"):
-        return "npz"
-    return "tsv"
+    return "compiled" if head == COMPILED_MAGIC else "tsv"
 
 
 @dataclass(frozen=True)
@@ -655,47 +486,26 @@ class TraceFileSpec:
         """The model geometry this trace drives, derived from ``base``.
 
         Compiled files are authoritative about their geometry: overrides
-        must agree with the header.  TSV/npz files apply the spec's
-        geometry overrides to ``base``.
+        must agree with the header.  TSV files apply the spec's geometry
+        overrides to ``base``.
         """
+        geometry = (
+            "batch_size", "num_tables", "lookups_per_table", "rows_per_table",
+        )
         overrides = {
-            name: value
-            for name, value in (
-                ("batch_size", self.batch_size),
-                ("num_tables", self.num_tables),
-                ("lookups_per_table", self.lookups_per_table),
-                ("rows_per_table", self.rows_per_table),
-            )
-            if value is not None
+            name: getattr(self, name)
+            for name in geometry
+            if getattr(self, name) is not None
         }
-        fmt = self.resolved_format()
-        if fmt in ("compiled", "npz"):
-            # Both on-disk formats are authoritative about their geometry;
-            # overrides may restate it but not contradict it.
-            if fmt == "compiled":
-                header = _compiled_header(self.path)
-            else:
-                archive = np.load(Path(self.path))
-                header = {
-                    name: int(archive[name])
-                    for name in (
-                        "batch_size", "num_tables", "lookups_per_table",
-                        "rows_per_table",
-                    )
-                }
+        if self.resolved_format() == "compiled":
+            header = _compiled_header(self.path)
             for name, value in overrides.items():
                 if int(header[name]) != value:
                     raise InvalidTraceFileSpecError(
-                        f"spec {name}={value} conflicts with the {fmt} "
+                        f"spec {name}={value} conflicts with the compiled "
                         f"header's {name}={header[name]} for {self.path}"
                     )
-            overrides = {
-                name: int(header[name])
-                for name in (
-                    "batch_size", "num_tables", "lookups_per_table",
-                    "rows_per_table",
-                )
-            }
+            overrides = {name: int(header[name]) for name in geometry}
         return base.scaled(**overrides) if overrides else base
 
     def open(self, config: Optional[ModelConfig] = None) -> TraceSource:
@@ -707,8 +517,7 @@ class TraceFileSpec:
         self.verify()
         if config is None:
             config = self.configure(ModelConfig())
-        fmt = self.resolved_format()
-        if fmt == "compiled":
+        if self.resolved_format() == "compiled":
             source = CompiledTraceSource(
                 self.path, config=config, max_batches=self.max_batches
             )
@@ -718,25 +527,16 @@ class TraceFileSpec:
                     "compiled without them"
                 )
             return source
-        if fmt == "tsv":
-            from repro.data.tsv import TsvTraceSource
+        from repro.data.tsv import TsvTraceSource
 
-            return TsvTraceSource(
-                self.path,
-                config,
-                num_dense_columns=self.num_dense_columns,
-                with_dense=self.with_dense,
-                max_batches=self.max_batches,
-                allow_dense_pad=self.allow_dense_pad,
-            )
-        archive = TraceFile(self.path, max_batches=self.max_batches)
-        archive.validate_against(config)
-        if self.with_dense and archive.batch(0).dense is None:
-            raise InvalidTraceFileSpecError(
-                f"spec asks for dense features but {self.path} carries none"
-            )
-        archive.config = config
-        return archive
+        return TsvTraceSource(
+            self.path,
+            config,
+            num_dense_columns=self.num_dense_columns,
+            with_dense=self.with_dense,
+            max_batches=self.max_batches,
+            allow_dense_pad=self.allow_dense_pad,
+        )
 
     def materialise(
         self,

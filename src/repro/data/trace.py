@@ -158,7 +158,7 @@ class TraceSource:
     Required: ``__len__`` and :meth:`batch`.  The streaming surface
     (:meth:`iter_chunks`, :meth:`reset`, ``__iter__``) has default
     implementations in terms of random access, so deterministic sources
-    (synthetic datasets, scenario engines, trace archives) get chunk-wise
+    (synthetic datasets, scenario engines, compiled traces) get chunk-wise
     emission for free; stateful sources (file readers) override
     :meth:`reset` to rewind.
 
@@ -328,7 +328,7 @@ class MaterialisedDataset(TraceSource):
     def from_batches(
         cls, config: ModelConfig, batches: Sequence[MiniBatch]
     ) -> "MaterialisedDataset":
-        """Wrap already-materialised batches (e.g. loaded from a trace file)."""
+        """Wrap already-materialised batches (e.g. views of a shared segment)."""
         self = cls.__new__(cls)
         self.config = config
         self._batches = list(batches)

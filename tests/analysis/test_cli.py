@@ -72,6 +72,18 @@ class TestSpecFlags:
         out = capsys.readouterr().out
         assert "custom (strawman)" in out
 
+    def test_custom_compare_row_names_its_own_cache(self, capsys):
+        import json
+
+        spec = json.dumps({
+            "system": "multi_gpu_scratchpipe", "num_gpus": 2,
+            "cache": {"fraction": 0.05},
+        })
+        main(["--batches", "8", "--system", spec, "compare"])
+        out = capsys.readouterr().out
+        assert "medium, 2% cache" in out
+        assert "custom (multi_gpu_scratchpipe) 5% cache" in out
+
     def test_bad_cache_spec_is_clean_error(self):
         with pytest.raises(SystemExit, match="invalid --cache-spec"):
             main(["--cache-spec", "nonsense=,", "compare"])

@@ -24,7 +24,7 @@ from repro.analysis.experiments import (
 from repro.analysis.sweep import run_grid, run_point
 from repro.api.specs import CacheSpec, PipelineSpec, SystemSpec
 from repro.data.scenarios import ChurnSpec, DriftSpec, ScenarioSpec
-from repro.errors import ExperimentConfigError, SweepConfigError
+from repro.errors import ExperimentConfigError
 from repro.model.config import tiny_config
 
 
@@ -173,6 +173,13 @@ class TestRandomSpecProperty:
         assert results["overlapped"] == results["serial"]
 
 
+def threads(monkeypatch, count):
+    """Pin the publication thread count (capped by the unique traces)."""
+    monkeypatch.setattr(
+        sweep, "_publish_threads", lambda num_keys: min(count, num_keys)
+    )
+
+
 class TestThreadedPublication:
     def grid_points(self, cfg):
         points = []
@@ -191,14 +198,12 @@ class TestThreadedPublication:
                                                 monkeypatch):
         """Segments published through the thread pool carry byte-identical
         traces, in the same deterministic point order."""
-        monkeypatch.setenv(sweep.PUBLISH_THREADS_ENV, "3")
+        threads(monkeypatch, 3)
         points = self.grid_points(cfg)
         sweep._cached_trace.cache_clear()
         manifest, segments = {}, []
         try:
-            sweep._publish_shared_traces(
-                points, manifest, segments, skip_disk_cacheable=False
-            )
+            sweep._publish_shared_traces(points, manifest, segments)
             assert list(manifest) == [
                 key for key in dict.fromkeys(p.trace_key for p in points)
             ]
@@ -223,20 +228,21 @@ class TestThreadedPublication:
 
     def test_grid_results_unchanged_under_threading(self, cfg, monkeypatch):
         points = self.grid_points(cfg)
-        monkeypatch.setenv(sweep.PUBLISH_THREADS_ENV, "1")
+        threads(monkeypatch, 1)
         sweep._cached_trace.cache_clear()
         sequential = run_grid(points, workers=2)
-        monkeypatch.setenv(sweep.PUBLISH_THREADS_ENV, "3")
+        threads(monkeypatch, 3)
         sweep._cached_trace.cache_clear()
         assert run_grid(points, workers=2) == sequential
 
-    @pytest.mark.parametrize("raw", ["many", "0", "-2"])
-    def test_thread_env_validated(self, cfg, monkeypatch, raw):
-        monkeypatch.setenv(sweep.PUBLISH_THREADS_ENV, raw)
-        with pytest.raises(SweepConfigError, match="REPRO_PUBLISH_THREADS"):
-            sweep._publish_threads(4)
+    def test_thread_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
+        counts = [sweep._publish_threads(n) for n in (0, 1, 3, 9)]
+        assert counts == [1, 1, 3, 4]
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+        assert sweep._publish_threads(9) == 1
 
     def test_leak_free_publication(self, cfg, monkeypatch, shm_leak_check):
-        monkeypatch.setenv(sweep.PUBLISH_THREADS_ENV, "3")
+        threads(monkeypatch, 3)
         sweep._cached_trace.cache_clear()
         run_grid(self.grid_points(cfg), workers=2)

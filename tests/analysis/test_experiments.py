@@ -20,10 +20,12 @@ from repro.analysis.experiments import (
     fig14_energy,
     fig15a_dim_sensitivity,
     fig15b_lookup_sensitivity,
+    mlp_intensity_sensitivity,
     overhead_vi_d,
     replacement_policy_sensitivity,
     table1_cost,
 )
+from repro.data.datasets import LOCALITY_CLASSES
 from repro.model.config import ModelConfig
 
 
@@ -199,3 +201,59 @@ class TestMlpIntensity:
         for p in points:
             assert p.scratchpipe_s > 0
             assert p.speedups()["scratchpipe"] > 0.5
+
+
+class TestGeometrySweepsKeepTheBaseSetup:
+    """Each geometry sweep is Figure 13 on the base setup with only the
+    config replaced: the base scenario (here a hot set drifting a table's
+    worth of rows every few batches) must reach every variant."""
+
+    @pytest.fixture(scope="class")
+    def drifting(self):
+        from repro.data.scenarios import DriftSpec, ScenarioSpec
+        from repro.model.config import tiny_config
+
+        config = tiny_config(
+            rows_per_table=20_000, batch_size=8, lookups_per_table=2,
+            num_tables=2,
+        )
+        return ExperimentSetup(
+            config=config, num_batches=10, seed=3,
+            scenario=ScenarioSpec(drift=DriftSpec(rate=4096.0)),
+        )
+
+    @pytest.mark.parametrize("sweep, values, vary, label, kwargs", [
+        (fig15a_dim_sensitivity, (8, 16),
+         lambda c, v: c.scaled(embedding_dim=v,
+                               bottom_mlp=c.bottom_mlp[:-1] + (v,)),
+         "dim={}", {}),
+        (fig15b_lookup_sensitivity, (1, 3),
+         lambda c, v: c.scaled(lookups_per_table=v), "lookups={}", {}),
+        (batch_size_sensitivity, (8, 16),
+         lambda c, v: c.scaled(batch_size=v), "batch={}",
+         {"localities": ("random", "high")}),
+        (mlp_intensity_sensitivity, (1, 2),
+         lambda c, v: c.scaled(
+             top_mlp=tuple(h * v for h in c.top_mlp[:-1]) + (1,)),
+         "mlp_x{}", {"localities": ("random", "high")}),
+    ], ids=["fig15a", "fig15b", "batch_size", "mlp_intensity"])
+    def test_rows_equal_fig13_on_the_replaced_setup(
+        self, drifting, sweep, values, vary, label, kwargs
+    ):
+        import dataclasses
+
+        rows = sweep(values, 0.05, base=drifting, **kwargs)
+        expected = [
+            dataclasses.replace(
+                point, locality=f"{point.locality}/{label.format(value)}"
+            )
+            for value in values
+            for point in fig13_speedup(
+                dataclasses.replace(
+                    drifting, config=vary(drifting.config, value)
+                ),
+                cache_fractions=(0.05,),
+                localities=kwargs.get("localities", LOCALITY_CLASSES),
+            )
+        ]
+        assert rows == expected

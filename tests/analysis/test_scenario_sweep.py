@@ -124,30 +124,36 @@ class TestSharedMemoryDispatch:
 
     def test_workers_regenerate_without_shared_memory(self, cfg, tmp_path,
                                                       monkeypatch):
-        """With an explicit on-disk cache the legacy path still works."""
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        monkeypatch.setenv(sweep.TRACE_CACHE_ENV, str(cache_dir))
-        sweep._cached_trace.cache_clear()
-        points = [
-            scenario_setup(cfg, None).point("scratchpipe", "high", 0.05, 2),
-            scenario_setup(cfg, None).point("scratchpipe", "random", 0.05, 2),
-        ]
-        serial = run_grid(points, workers=1)
-        assert run_grid(points, workers=2) == serial
-        assert any(p.suffix == ".npz" for p in cache_dir.iterdir())
-
-    def test_disk_cache_still_publishes_scenario_traces(
-        self, cfg, tmp_path, monkeypatch
-    ):
-        """Regression: an explicit REPRO_TRACE_CACHE must not disable
-        shared memory for the scenario traces the disk cache cannot key —
-        they would otherwise be regenerated per worker."""
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
+        """A worker handed no shared segment for a key regenerates the
+        trace from the key, bit-identically."""
         gen_dir = tmp_path / "gens"
         gen_dir.mkdir()
-        monkeypatch.setenv(sweep.TRACE_CACHE_ENV, str(cache_dir))
+        monkeypatch.setenv(sweep.TRACE_GEN_LOG_ENV, str(gen_dir))
+        sweep._cached_trace.cache_clear()
+        points = [
+            scenario_setup(cfg, spec).point("scratchpipe", loc, 0.05, 2)
+            for spec in (None, DRIFT)
+            for loc in ("random", "high")
+        ]
+        serial = run_grid(points, workers=1)
+        pool = sweep._make_pool(2, {})
+        try:
+            futures = [pool.submit(run_point, p) for p in points]
+            assert [f.result() for f in futures] == serial
+        finally:
+            pool.shutdown(wait=True)
+        parent = str(os.getpid())
+        assert any(
+            m.split("-")[1] != parent for m in os.listdir(gen_dir)
+        )
+
+    def test_parallel_run_after_serial_adds_no_generations(
+        self, cfg, tmp_path, monkeypatch
+    ):
+        """A parallel run after a serial one publishes the parent's
+        memoised traces instead of regenerating them in workers."""
+        gen_dir = tmp_path / "gens"
+        gen_dir.mkdir()
         monkeypatch.setenv(sweep.TRACE_GEN_LOG_ENV, str(gen_dir))
         sweep._cached_trace.cache_clear()
         points = [
@@ -171,9 +177,7 @@ class TestSharedMemoryDispatch:
         point = scenario_setup(cfg, DRIFT).point("scratchpipe", "high", 0.05, 2)
         key = point.trace_key
         manifest, segments = {}, []
-        sweep._publish_shared_traces(
-            [point], manifest, segments, skip_disk_cacheable=False
-        )
+        sweep._publish_shared_traces([point], manifest, segments)
         try:
             # Simulate a fresh worker: empty caches, manifest installed.
             sweep._cached_trace.cache_clear()

@@ -15,9 +15,8 @@ from repro.data.io import (
     compile_trace,
     sha256_file,
     sniff_trace_format,
-    save_trace,
 )
-from repro.data.trace import MaterialisedDataset, make_dataset
+from repro.data.trace import MaterialisedDataset, TraceSource, make_dataset
 from repro.data.tsv import TsvTraceSource
 from repro.model.config import tiny_config
 
@@ -145,6 +144,15 @@ class TestRandomAccess:
         assert np.array_equal(compiled.batch(7).sparse_ids, late)
         assert np.array_equal(compiled.batch(0).sparse_ids, early)
 
+    def test_out_of_range_batch(self, cfg, tmp_path):
+        source = make_dataset(cfg, "low", seed=1, num_batches=2)
+        compiled = CompiledTraceSource(
+            compile_trace(source, tmp_path / "t.rtrc"), config=cfg
+        )
+        for index in (2, -1):
+            with pytest.raises(IndexError):
+                compiled.batch(index)
+
     def test_max_batches_caps_length(self, cfg, tmp_path):
         source = make_dataset(cfg, "medium", seed=1, num_batches=9)
         path = compile_trace(source, tmp_path / "t.rtrc")
@@ -177,6 +185,28 @@ class TestFormatValidation:
         assert compiled.config.batch_size == cfg.batch_size
         assert compiled.config.lookups_per_table == cfg.lookups_per_table
 
+    def test_empty_trace_rejected(self, cfg, tmp_path):
+        class EmptySource(TraceSource):
+            config = cfg
+
+            def __len__(self):
+                return 0
+
+        out = tmp_path / "t.rtrc"
+        with pytest.raises(ValueError, match="num_batches"):
+            compile_trace(EmptySource(), out)
+        assert not out.exists()
+
+    def test_mixed_dense_rejected(self, cfg, tmp_path):
+        with_dense = make_dataset(cfg, "low", seed=1, num_batches=1,
+                                  with_dense=True)
+        without = make_dataset(cfg, "low", seed=1, num_batches=1)
+        mixed = MaterialisedDataset.from_batches(
+            cfg, [with_dense.batch(0), without.batch(0)]
+        )
+        with pytest.raises(ValueError, match="dense"):
+            compile_trace(mixed, tmp_path / "t.rtrc")
+
     def test_compile_rejects_out_of_range_ids(self, cfg, tmp_path):
         source = make_dataset(cfg, "medium", seed=1, num_batches=3)
         corrupt = MaterialisedDataset(source)
@@ -198,9 +228,6 @@ class TestFormatValidation:
         source = make_dataset(cfg, "medium", seed=1, num_batches=3)
         compiled = compile_trace(source, tmp_path / "t.rtrc")
         assert sniff_trace_format(compiled) == "compiled"
-        npz = tmp_path / "t.npz"
-        save_trace(npz, [source.batch(i) for i in range(3)], cfg)
-        assert sniff_trace_format(npz) == "npz"
         tsv = tmp_path / "t.tsv"
         _write_tsv(tsv, 4, 4, rng)
         assert sniff_trace_format(tsv) == "tsv"
@@ -259,51 +286,47 @@ class TestTraceFileSpec:
         assert len(source) == 4
         assert source.batch(0).sparse_ids.shape == (2, 2, 2)
 
-    def test_configure_reads_npz_geometry(self, cfg, tmp_path):
-        source = make_dataset(cfg, "medium", seed=1, num_batches=3)
-        npz = tmp_path / "t.npz"
-        save_trace(npz, [source.batch(i) for i in range(3)], cfg)
-        spec = TraceFileSpec(path=str(npz))
-        configured = spec.configure(tiny_config())
-        assert configured.batch_size == cfg.batch_size
-        assert configured.num_tables == cfg.num_tables
-        assert len(spec.open(configured)) == 3
-        conflicting = TraceFileSpec(path=str(npz), batch_size=999)
-        with pytest.raises(InvalidTraceFileSpecError, match="conflicts"):
-            conflicting.configure(tiny_config())
-
-    def test_open_dispatches_npz(self, cfg, tmp_path):
-        source = make_dataset(cfg, "medium", seed=1, num_batches=3)
-        npz = tmp_path / "t.npz"
-        save_trace(npz, [source.batch(i) for i in range(3)], cfg)
-        spec = TraceFileSpec(path=str(npz))
-        loaded = spec.open(cfg)
-        assert len(loaded) == 3
-        assert np.array_equal(loaded.batch(1).sparse_ids,
-                              source.batch(1).sparse_ids)
-
     def test_max_batches_caps_every_format(self, cfg, tmp_path, rng):
         source = make_dataset(cfg, "medium", seed=1, num_batches=6)
         compiled = compile_trace(source, tmp_path / "t.rtrc")
-        npz = tmp_path / "t.npz"
-        save_trace(npz, [source.batch(i) for i in range(6)], cfg)
         tsv = tmp_path / "t.tsv"
         _write_tsv(tsv, 24, 4, rng)
-        for path in (compiled, npz, tsv):
+        for path in (compiled, tsv):
             spec = TraceFileSpec(path=str(path), max_batches=2)
             assert len(spec.open(cfg)) == 2, path
 
     def test_with_dense_rejected_for_id_only_files(self, cfg, tmp_path):
         source = make_dataset(cfg, "medium", seed=1, num_batches=3)
         compiled = compile_trace(source, tmp_path / "t.rtrc")
-        npz = tmp_path / "t.npz"
-        save_trace(npz, [source.batch(i) for i in range(3)], cfg)
-        for path in (compiled, npz):
-            spec = TraceFileSpec(path=str(path), with_dense=True)
-            with pytest.raises(InvalidTraceFileSpecError, match="dense"):
-                spec.open(cfg)
+        spec = TraceFileSpec(path=str(compiled), with_dense=True)
+        with pytest.raises(InvalidTraceFileSpecError, match="dense"):
+            spec.open(cfg)
 
     def test_compiled_magic_stable(self):
         # The on-disk format is a contract: changing the magic (or layout)
         # must bump the version byte consciously.
         assert COMPILED_MAGIC == b"REPRO-CTRACE\x01"
+
+
+class TestPipelineCompatibility:
+    def test_compiled_trace_drives_pipeline(self, cfg, tmp_path):
+        """A compiled trace is a drop-in dataset for the ScratchPipe
+        pipeline: it plans exactly the batches of its source."""
+        from repro.core.pipeline import ScratchPipePipeline
+        from repro.core.scratchpad import make_scratchpads
+
+        source = make_dataset(cfg, "medium", seed=9, num_batches=8)
+        compiled = CompiledTraceSource(
+            compile_trace(source, tmp_path / "t.rtrc"), config=cfg
+        )
+
+        def run(dataset):
+            return ScratchPipePipeline(
+                config=cfg,
+                scratchpads=make_scratchpads(cfg, 64),
+                dataset_batches=dataset,
+            ).run().cache_stats
+
+        stats = run(compiled)
+        assert len(stats) == 8
+        assert stats == run(MaterialisedDataset(source))

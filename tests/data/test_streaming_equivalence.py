@@ -9,7 +9,7 @@ choose constant-memory streaming or in-memory replay freely.
 import numpy as np
 import pytest
 
-from repro.data.io import TraceFile, save_trace
+from repro.data.io import CompiledTraceSource, compile_trace
 from repro.data.scenarios import (
     SCENARIO_PRESETS,
     TsvTraceSource,
@@ -100,11 +100,11 @@ class TestSyntheticStreaming:
 class TestTraceFileStreaming:
     def test_saved_trace_streams(self, cfg, tmp_path):
         dataset = make_dataset(cfg, "medium", seed=6, num_batches=8)
-        path = tmp_path / "trace.npz"
-        save_trace(path, [dataset.batch(i) for i in range(8)], cfg)
-        archive = TraceFile(path)
+        compiled = CompiledTraceSource(
+            compile_trace(dataset, tmp_path / "trace.rtrc"), config=cfg
+        )
         streamed = [
-            b for chunk in archive.iter_chunks(chunk_batches=3) for b in chunk
+            b for chunk in compiled.iter_chunks(chunk_batches=3) for b in chunk
         ]
         assert len(streamed) == 8
         for i, batch in enumerate(streamed):
