@@ -13,6 +13,9 @@ The flow, shared with :mod:`repro.analysis.sweep` (the sole consumer):
 - The parent materialises each unique trace once and calls
   :func:`publish_trace`, which copies the stacked ID array into a fresh
   segment and records ``key -> (segment name, shape)`` in a manifest.
+  Segments hold the IDs as :data:`~repro.data.trace.SPARSE_ID_DTYPE`
+  (int32), the dtype every trace source stores, so a segment is as large
+  as the trace's IDs and an attached trace is the parent's, dtype and all.
 - Workers receive the manifest through :func:`install_manifest` (the
   pool initializer) and resolve traces via :func:`attach_shared_trace`,
   mapping zero-copy ``MiniBatch`` views onto the parent's segment.
@@ -28,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.data.trace import MaterialisedDataset, MiniBatch
+from repro.data.trace import SPARSE_ID_DTYPE, MaterialisedDataset, MiniBatch
 
 #: Trace key -> (segment name, stacked shape).  An opaque-key view of
 #: ``repro.analysis.sweep.TraceKey`` (element 0 is the ``ModelConfig``);
@@ -78,7 +81,7 @@ def attach_shared_trace(key: Any) -> Optional[MaterialisedDataset]:
         except Exception:
             pass
         _SHM_ATTACHED[name] = segment
-    stacked = np.ndarray(shape, dtype=np.int64, buffer=segment.buf)
+    stacked = np.ndarray(shape, dtype=SPARSE_ID_DTYPE, buffer=segment.buf)
     config = key[0]
     batches = [
         MiniBatch(index=i, sparse_ids=stacked[i]) for i in range(shape[0])
@@ -106,10 +109,10 @@ def publish_trace(
     # Fill the segment batch-by-batch: stacking first would briefly
     # hold a second full copy of the trace in the parent.
     shape = (len(trace),) + first.sparse_ids.shape
-    nbytes = int(np.prod(shape)) * np.dtype(np.int64).itemsize
+    nbytes = int(np.prod(shape)) * np.dtype(SPARSE_ID_DTYPE).itemsize
     segment = shared_memory.SharedMemory(create=True, size=nbytes)
     segments.append(segment)
-    view = np.ndarray(shape, dtype=np.int64, buffer=segment.buf)
+    view = np.ndarray(shape, dtype=SPARSE_ID_DTYPE, buffer=segment.buf)
     for i in range(len(trace)):
         view[i] = trace.batch(i).sparse_ids
     # Drop the numpy view before the segment can be closed: a live

@@ -82,15 +82,16 @@ class HitMap:
         """Probe many keys at once.
 
         Args:
-            keys: int64 array of (typically unique) sparse feature IDs.
+            keys: Integer array of (typically unique) sparse feature IDs.
                 Out-of-range IDs raise :class:`ValueError` — numpy would
                 otherwise silently wrap negative indices and fault on large
                 ones, turning a corrupt trace into wrong hit statistics.
-            presorted_unique: The caller vouches that ``keys`` is an int64
-                array straight out of a prior ``np.unique`` pass (sorted,
-                in-range).  Skips the dtype conversion and reduces the
-                range validation to an O(1) first/last check — the [Plan]
-                hot path uses this.
+            presorted_unique: The caller vouches that ``keys`` is a sorted
+                unique ``intp`` array, as
+                :meth:`~repro.data.trace.MiniBatch.unique_table_ids`
+                returns.  Skips the dtype conversion and reduces the range
+                validation to an O(1) first/last check — the [Plan] hot
+                path uses this.
 
         Returns:
             ``(slots, hit_mask)`` — ``slots[i]`` is the cached slot of

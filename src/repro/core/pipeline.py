@@ -216,13 +216,19 @@ class HazardMonitor:
 
     @staticmethod
     def _grown(store: Dict[int, np.ndarray], table: int, min_size: int) -> np.ndarray:
-        """Fetch ``store[table]``, growing it geometrically to ``min_size``."""
+        """Fetch ``store[table]``, growing it geometrically to ``min_size``.
+
+        Each growth at least doubles the array (amortised O(1) per slot)
+        but never exceeds twice ``min_size`` — one past the highest slot
+        seen — so beyond its 1,024-entry floor the array stays within 2x
+        the scratchpad it tracks.
+        """
         array = store.get(table)
         if array is None:
             array = np.full(max(min_size, 1024), _NO_WRITE, dtype=np.int32)
             store[table] = array
         elif array.size < min_size:
-            grown = np.full(max(min_size, 4 * array.size), _NO_WRITE, dtype=np.int32)
+            grown = np.full(max(min_size, 2 * array.size), _NO_WRITE, dtype=np.int32)
             grown[: array.size] = array
             store[table] = array = grown
         return array

@@ -7,7 +7,10 @@ owns the one on-disk trace representation and its addressing:
 
 * the **compiled binary format** (:func:`compile_trace` /
   :class:`CompiledTraceSource`) — a small JSON header plus a packed int32
-  ID array, memmapped for zero-copy O(1) random access in any order.
+  ID array, memmapped for zero-copy O(1) random access in any order.  The
+  on-disk IDs have the dtype every in-memory trace stores
+  (:data:`~repro.data.trace.SPARSE_ID_DTYPE`), so compiling a trace and
+  reading it back changes neither its values nor its dtype.
   Compiling a TSV once removes parsing (and the TSV reader's
   rewind-on-backward-seek) from every later experiment, and compiling any
   other :class:`~repro.data.trace.TraceSource` (synthetic, scenario) is
@@ -34,11 +37,20 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.errors import TraceFormatError
-from repro.data.trace import MaterialisedDataset, MiniBatch, TraceSource
+from repro.data.trace import (
+    SPARSE_ID_DTYPE,
+    MaterialisedDataset,
+    MiniBatch,
+    TraceSource,
+)
 from repro.model.config import ModelConfig
 
 #: Layout version stored in every compiled trace's header.
 FORMAT_VERSION = 1
+
+#: On-disk dtype of the sparse IDs: the in-memory :data:`SPARSE_ID_DTYPE`,
+#: little-endian (``<i4``), so a compiled batch maps straight onto it.
+_SPARSE_DISK_DTYPE = np.dtype(SPARSE_ID_DTYPE).newbyteorder("<")
 
 
 class InvalidTraceFileSpecError(ValueError):
@@ -102,7 +114,8 @@ def compile_trace(
     """Compile any :class:`TraceSource` into the binary memmap format.
 
     Streams the source through its chunked interface (constant memory in
-    the trace length), packs the sparse IDs as int32 and publishes the
+    the trace length), packs the sparse IDs as int32
+    (:data:`~repro.data.trace.SPARSE_ID_DTYPE`) and publishes the
     file with an atomic rename, so readers never observe a half-written
     trace.  Dense features and labels, when the source carries them, are
     appended as float32 arrays in a second streaming pass.
@@ -121,11 +134,6 @@ def compile_trace(
     num_batches = total if num_batches is None else min(num_batches, total)
     if num_batches < 1:
         raise TraceFormatError(f"num_batches must be >= 1, got {num_batches}")
-    if config.rows_per_table > np.iinfo(np.int32).max:
-        raise TraceFormatError(
-            f"rows_per_table {config.rows_per_table} exceeds the int32 ID "
-            "range of the compiled format"
-        )
     # Sources that declare dense-ness (the synthetic/scenario/TSV
     # sources) skip the batch-0 probe, so a TSV really is parsed only
     # once; opaque sources pay one probe parse of their first block.
@@ -138,9 +146,13 @@ def compile_trace(
         config.lookups_per_table,
     )
     arrays = {
-        "sparse_ids": {"offset": 0, "dtype": "<i4", "shape": list(sparse_shape)},
+        "sparse_ids": {
+            "offset": 0,
+            "dtype": _SPARSE_DISK_DTYPE.str,
+            "shape": list(sparse_shape),
+        },
     }
-    cursor = int(np.prod(sparse_shape)) * 4
+    cursor = int(np.prod(sparse_shape)) * _SPARSE_DISK_DTYPE.itemsize
     if with_dense:
         dense_shape = (num_batches, config.batch_size, dense_width)
         arrays["dense"] = {
@@ -241,7 +253,7 @@ def compile_trace(
             for start, chunk in _chunks():
                 for offset, batch in enumerate(chunk):
                     _check_batch(batch, start + offset)
-                    _append("sparse_ids", batch.sparse_ids, "<i4")
+                    _append("sparse_ids", batch.sparse_ids, _SPARSE_DISK_DTYPE.str)
                     if with_dense:
                         _append("dense", batch.dense, "<f4")
                         _append("labels", batch.labels, "<f4")
@@ -251,7 +263,8 @@ def compile_trace(
             for name, meta in arrays.items():
                 expected = (
                     data_start + meta["offset"]
-                    + int(np.prod(meta["shape"])) * 4
+                    + int(np.prod(meta["shape"]))
+                    * np.dtype(meta["dtype"]).itemsize
                 )
                 if cursors[name] != expected:
                     raise TraceFormatError(
@@ -270,9 +283,9 @@ class CompiledTraceSource(TraceSource):
     ``batch(i)`` slices a read-only memmap — O(1) for **any** access
     order (no cursor, no rewind, no parsing), so backward seeks that cost
     the TSV reader a full re-read are free here.  The per-batch views
-    share the int32 on-disk representation; consumers treat
-    ``MiniBatch.sparse_ids`` as immutable, which the read-only mapping now
-    also enforces.
+    share the int32 on-disk representation, the dtype every trace source
+    stores; consumers treat ``MiniBatch.sparse_ids`` as immutable, which
+    the read-only mapping also enforces.
 
     Args:
         path: Compiled trace file (see :func:`compile_trace`).

@@ -48,7 +48,12 @@ import numpy as np
 
 from repro.data.datasets import LOCALITY_CLASSES, locality_distribution
 from repro.data.distributions import AccessDistribution, ZipfDistribution
-from repro.data.trace import MiniBatch, SyntheticDataset, TraceSource
+from repro.data.trace import (
+    SPARSE_ID_DTYPE,
+    MiniBatch,
+    SyntheticDataset,
+    TraceSource,
+)
 from repro.model.config import ModelConfig
 
 
@@ -492,7 +497,7 @@ class ScenarioDataset(TraceSource):
         burst_rows = self._burst_rows(content_index)
         ids = np.empty(
             (cfg.num_tables, cfg.batch_size, cfg.lookups_per_table),
-            dtype=np.int64,
+            dtype=SPARSE_ID_DTYPE,
         )
         for table in range(cfg.num_tables):
             ids[table] = self._sample_table(

@@ -33,6 +33,13 @@ from repro.model.config import ModelConfig
 #: below the materialised-trace footprint it replaces.
 DEFAULT_CHUNK_BATCHES = 256
 
+#: The one dtype sparse IDs are stored in, by every trace source, the
+#: compiled format and the shared-memory hand-off.  Every ID universe is
+#: capped at int32 (:class:`~repro.model.config.ModelConfig` refuses more
+#: than ``2**31 - 1`` rows per table), and a materialised trace is the
+#: largest allocation of a metadata run, so a wider dtype only doubles it.
+SPARSE_ID_DTYPE = np.int32
+
 
 # ----------------------------------------------------------------------
 # Deterministic integer mixing — the O(1)-random-access workhorse shared
@@ -81,20 +88,22 @@ def mix64(values: np.ndarray, *salts: int) -> np.ndarray:
 
 
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """Sorted unique values of a 1-D int array.
+    """Sorted unique values of a 1-D int array, as ``intp``.
 
-    Output-identical to ``np.unique`` but several times faster on the
+    Value-identical to ``np.unique`` but several times faster on the
     lookup-ID arrays this module feeds it (numpy's hash-based unique costs
     far more than a sort at these sizes, and the sort is what the Plan
-    stage needs anyway).
+    stage needs anyway).  The sort runs at the stored width; only the
+    (smaller) unique set is widened to ``intp``, because it indexes the
+    Hit-Map and numpy casts any narrower index to ``intp`` per gather.
     """
     if ids.size <= 1:
-        return ids.copy()
+        return ids.astype(np.intp)
     ordered = np.sort(ids)
     keep = np.empty(ordered.size, dtype=bool)
     keep[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
+    return ordered[keep].astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)
@@ -103,9 +112,12 @@ class MiniBatch:
 
     Attributes:
         index: Position of the batch within the trace.
-        sparse_ids: int64 array of shape
+        sparse_ids: Integer array of shape
             ``(num_tables, batch_size, lookups_per_table)`` — the embedding
-            rows each sample gathers from each table (Figure 2(a)).
+            rows each sample gathers from each table (Figure 2(a)).  Every
+            trace source stores it as :data:`SPARSE_ID_DTYPE` (int32);
+            any integer dtype is accepted, so hand-built batches may use
+            int64.
         dense: float32 array ``(batch_size, num_dense_features)`` of
             continuous inputs, or ``None`` for ID-only (timing) traces.
         labels: float32 array ``(batch_size,)`` of click labels, or ``None``.
@@ -140,7 +152,8 @@ class MiniBatch:
         return self.sparse_ids[table].reshape(-1)
 
     def unique_table_ids(self, table: int) -> np.ndarray:
-        """Sorted unique lookup IDs for one table (cached after first use).
+        """Sorted unique lookup IDs for one table, as ``intp`` (cached after
+        first use).
 
         Callers must treat the returned array as immutable — it is shared
         by every consumer of this batch.
@@ -261,7 +274,8 @@ class SyntheticDataset(TraceSource):
         rng = np.random.default_rng((self.seed, index))
         per_table = cfg.batch_size * cfg.lookups_per_table
         ids = np.empty(
-            (cfg.num_tables, cfg.batch_size, cfg.lookups_per_table), dtype=np.int64
+            (cfg.num_tables, cfg.batch_size, cfg.lookups_per_table),
+            dtype=SPARSE_ID_DTYPE,
         )
         for table in range(cfg.num_tables):
             ids[table] = self._distribution_for(table).sample(per_table, rng).reshape(

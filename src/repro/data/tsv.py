@@ -40,7 +40,12 @@ from typing import Dict, Iterator, List, Optional
 import numpy as np
 
 from repro.errors import TsvFormatError
-from repro.data.trace import MiniBatch, TraceSource, mix64_scalar
+from repro.data.trace import (
+    SPARSE_ID_DTYPE,
+    MiniBatch,
+    TraceSource,
+    mix64_scalar,
+)
 from repro.model.config import ModelConfig
 
 #: Salt namespacing the token-hash stream (folded through mix64 together
@@ -358,7 +363,7 @@ class TsvTraceSource(TraceSource):
         ) % np.uint64(cfg.rows_per_table)
         # (columns, n) -> (tables, n, lookups)
         return np.ascontiguousarray(
-            mixed.astype(np.int64)
+            mixed.astype(SPARSE_ID_DTYPE)
             .reshape(cfg.num_tables, cfg.lookups_per_table, n)
             .transpose(0, 2, 1)
         )

@@ -15,6 +15,11 @@ from repro.errors import ModelConfigError
 #: Bytes per embedding element (FP32, as in the paper's 4-byte math).
 ELEMENT_BYTES = 4
 
+#: Largest table a config may describe: sparse IDs are stored as int32
+#: (``repro.data.trace.SPARSE_ID_DTYPE``), so a larger row universe would
+#: wrap silently in every trace source.
+MAX_ROWS_PER_TABLE = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -46,9 +51,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.num_tables < 1:
             raise ModelConfigError(f"num_tables must be >= 1, got {self.num_tables}")
-        if self.rows_per_table < 1:
+        if not 1 <= self.rows_per_table <= MAX_ROWS_PER_TABLE:
             raise ModelConfigError(
-                f"rows_per_table must be >= 1, got {self.rows_per_table}"
+                f"rows_per_table must be in [1, {MAX_ROWS_PER_TABLE}] "
+                f"(int32 sparse IDs), got {self.rows_per_table}"
             )
         if self.embedding_dim < 1:
             raise ModelConfigError(

@@ -88,3 +88,21 @@ class TestMemoryBound:
         assert arrays
         largest = max(array.size for array in arrays)
         assert largest <= max(1024, 4 * slots) < cfg.rows_per_table // 100
+
+
+class TestSlotArrayGrowth:
+    def test_growth_stays_within_twice_the_highest_slot(self):
+        monitor = HazardMonitor(strict=True)
+        highest = 0
+        for cycle, slot in enumerate((10, 1_500, 3_100, 9_000, 200_000)):
+            monitor.on_plan(cycle=cycle, table=0, plan=one_miss_plan(slot, slot=slot))
+            highest = max(highest, slot)
+            (array,) = monitor_arrays(monitor)
+            assert highest < array.size <= max(1024, 2 * (highest + 1))
+
+    def test_growth_at_least_doubles(self):
+        monitor = HazardMonitor(strict=True)
+        monitor.on_plan(cycle=0, table=0, plan=one_miss_plan(0))
+        monitor.on_plan(cycle=1, table=0, plan=one_miss_plan(1, slot=1024))
+        (array,) = monitor_arrays(monitor)
+        assert array.size == 2048

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.errors import ModelConfigError
 from repro.model.config import (
     ELEMENT_BYTES,
+    MAX_ROWS_PER_TABLE,
     ModelConfig,
     dense_parameter_bytes,
     mlp_flops,
@@ -51,6 +53,17 @@ class TestValidation:
     def test_positive_fields(self, field, value):
         with pytest.raises(ValueError):
             ModelConfig(**{field: value})
+
+    def test_row_universe_beyond_int32_rejected(self):
+        # Sparse IDs are stored as int32, so a 2**31-row table would wrap
+        # silently in every trace source: the config refuses it at
+        # construction, before any trace is generated.
+        assert MAX_ROWS_PER_TABLE == 2**31 - 1
+        with pytest.raises(ModelConfigError, match="int32"):
+            ModelConfig(rows_per_table=2**31)
+        with pytest.raises(ModelConfigError, match="int32"):
+            tiny_config().scaled(rows_per_table=2**31)
+        assert ModelConfig(rows_per_table=2**31 - 1).rows_per_table == 2**31 - 1
 
     def test_bottom_mlp_must_end_at_dim(self):
         with pytest.raises(ValueError, match="bottom_mlp must end"):
