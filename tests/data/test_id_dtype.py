@@ -35,7 +35,6 @@ from repro.data.scenarios import (
 from repro.data.trace import (
     SPARSE_ID_DTYPE,
     MaterialisedDataset,
-    MiniBatch,
     make_dataset,
 )
 from repro.data.tsv import TsvTraceSource
@@ -142,12 +141,3 @@ def test_shared_segment_holds_four_bytes_per_id(shared_trace):
     num_ids = sum(attached.batch(i).sparse_ids.size
                   for i in range(len(attached)))
     assert segment.size == num_ids * 4
-
-
-def test_hand_built_int64_batches_still_work():
-    ids = np.array([[[5, 1], [1, 9]]], dtype=np.int64)
-    batch = MiniBatch(index=0, sparse_ids=ids)
-    assert batch.sparse_ids.dtype == np.int64
-    unique = batch.unique_table_ids(0)
-    assert unique.dtype == np.intp
-    assert unique.tolist() == [1, 5, 9]
