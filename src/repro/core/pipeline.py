@@ -189,16 +189,21 @@ class HazardMonitor:
     lazy — a recorded cycle in the past never compares as pending again).
     It is sized by the scratchpad, never by the table's row universe.
 
-    RAW-4 state is a ring of ``(insert_cycle, sorted dirty rows)``
-    entries per table: only the plans of the last ``PLAN_TO_INSERT -
-    PLAN_TO_COLLECT`` cycles can have a write-back still in flight, so the
-    ring holds a handful of small sorted arrays and the check is a few
-    ``searchsorted`` membership probes over the miss IDs.  Entries are
-    pruned as soon as they land before the reading cycle, which is sound
-    only because per-table ``check`` cycles never decrease (each table
-    is planned once per cycle, in cycle order); a call that breaks that
-    contract raises :class:`MonitorCycleError`.  Per-element dict
-    bookkeeping is the equivalence-test oracle
+    RAW-4 state is a ring of ``(insert_cycle, dirty rows)`` entries per
+    table, the rows kept unsorted as the plan evicted them: only the plans
+    of the last ``PLAN_TO_INSERT - PLAN_TO_COLLECT`` cycles can have a
+    write-back still in flight, so the ring holds a handful of small
+    arrays.  The check first sorts the miss IDs and the live entries' rows
+    together, narrowed to int32 (every row ID fits), and looks for a
+    repeated value.  With none, no missed row can be in flight; that is
+    every plan of a hazard-free run.  Only otherwise does it sort each
+    live entry and probe it with ``searchsorted`` on the true IDs, so an
+    ID the cast wrapped costs at most that exact probe and never hides a
+    hazard.  Entries are pruned as soon as they land before the reading
+    cycle, which is sound only because per-table ``check`` cycles never
+    decrease (each table is planned once per cycle, in cycle order); a
+    call that breaks that contract raises :class:`MonitorCycleError`.
+    Per-element dict bookkeeping is the equivalence-test oracle
     ``repro.testing.oracles.ScanHazardMonitor``; both flag identical
     violations in identical order.
     """
@@ -206,7 +211,7 @@ class HazardMonitor:
     strict: bool = True
     violations: List[str] = field(default_factory=list)
     # table -> int32 pending-write cycle per slot; table -> ring of
-    # (insert_cycle, sorted dirty row IDs) in-flight CPU write-backs;
+    # (insert_cycle, dirty row IDs) in-flight CPU write-backs;
     # table -> cycle of its latest plan.
     _slot_write_cycles: Dict[int, np.ndarray] = field(default_factory=dict)
     _recent_writebacks: Dict[int, List[Tuple[int, np.ndarray]]] = field(
@@ -266,11 +271,13 @@ class HazardMonitor:
         fill_slots = np.asarray(plan.fill_slots, dtype=np.int64).reshape(-1)
         slots = np.asarray(plan.slots, dtype=np.int64).reshape(-1)
         miss_ids = np.asarray(plan.miss_ids, dtype=np.int64).reshape(-1)
-        evicted = np.asarray(plan.evicted_ids, dtype=np.int64).reshape(-1)
+        evicted = np.asarray(plan.evicted_ids).reshape(-1)
 
         messages: List[str] = []
-        max_slot = max(fill_slots.max(initial=-1), slots.max(initial=-1))
-        slot_writes = self._grown(self._slot_write_cycles, table, int(max_slot) + 1)
+        # fill_slots is a subset of slots, so slots bounds both.
+        slot_writes = self._grown(
+            self._slot_write_cycles, table, int(slots.max(initial=-1)) + 1
+        )
 
         # RAW-2/3: a victim slot read at [Collect] must have no in-flight
         # write scheduled at or after the read.
@@ -286,17 +293,18 @@ class HazardMonitor:
 
         # RAW-4: a missed ID read from the CPU table at [Collect] must not
         # have a write-back landing at or after the read.  Entries landing
-        # before this [Collect] can never flag again, so they are pruned;
-        # survivors are probed oldest-first so the freshest write-back of
-        # a row wins.
+        # before this [Collect] can never flag again, so they are pruned.
         entries = [
             entry for entry in self._recent_writebacks.get(table, ())
             if entry[0] >= collect_cycle
         ]
         self._recent_writebacks[table] = entries
-        if entries and miss_ids.size:
+        if entries and miss_ids.size and self._may_share_a_row(miss_ids, entries):
+            # Exact probe, oldest entry first so the freshest write-back
+            # of a row wins.
             pending = np.full(miss_ids.size, _NO_WRITE, dtype=np.int64)
             for insert_at, rows in entries:
+                rows = np.sort(rows)
                 positions = np.minimum(
                     np.searchsorted(rows, miss_ids), rows.size - 1
                 )
@@ -321,8 +329,27 @@ class HazardMonitor:
             dirty = evicted[: fill_slots.size]
             dirty = dirty[dirty != EMPTY]
             if dirty.size:
-                entries.append((insert_cycle, np.sort(dirty)))
+                entries.append((insert_cycle, dirty))
         return messages
+
+    @staticmethod
+    def _may_share_a_row(
+        miss_ids: np.ndarray, entries: List[Tuple[int, np.ndarray]]
+    ) -> bool:
+        """Whether any value repeats among ``miss_ids`` and the entries'
+        rows, all narrowed to int32.
+
+        ``False`` proves no missed row is in flight: equal IDs stay equal
+        under the cast.  ``True`` may be a false alarm (a wrapped ID above
+        int32, a row two entries share, a repeated miss ID), which the
+        exact probe clears.
+        """
+        merged = np.concatenate(
+            [miss_ids] + [rows for _, rows in entries],
+            dtype=np.int32, casting="unsafe",
+        )
+        merged.sort()
+        return bool((merged[1:] == merged[:-1]).any())
 
     def on_cycle_end(self, cycle: int) -> None:
         """Retire writes that have now happened.

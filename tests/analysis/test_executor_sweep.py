@@ -195,7 +195,8 @@ class TestThreadedPublication:
         return points
 
     def test_threaded_publication_bit_identical(self, cfg, tmp_path,
-                                                monkeypatch):
+                                                monkeypatch,
+                                                retrack_segments):
         """Segments published through the thread pool carry byte-identical
         traces, in the same deterministic point order."""
         threads(monkeypatch, 3)
@@ -222,6 +223,7 @@ class TestThreadedPublication:
             for name in list(sweep._SHM_ATTACHED):
                 sweep._SHM_ATTACHED.pop(name).close()
             sweep._cached_trace.cache_clear()
+            retrack_segments(segments)
             for segment in segments:
                 segment.close()
                 segment.unlink()

@@ -170,7 +170,7 @@ class TestSharedMemoryDispatch:
         parent = str(os.getpid())
         assert all(m.split("-")[1] == parent for m in markers)
 
-    def test_shared_trace_attach_is_bit_identical(self, cfg):
+    def test_shared_trace_attach_is_bit_identical(self, cfg, retrack_segments):
         """A worker-side shm attachment reproduces the parent's trace."""
         from multiprocessing import shared_memory
 
@@ -195,6 +195,7 @@ class TestSharedMemoryDispatch:
             for name in list(sweep._SHM_ATTACHED):
                 sweep._SHM_ATTACHED.pop(name).close()
             sweep._cached_trace.cache_clear()
+            retrack_segments(segments)
             for segment in segments:
                 segment.close()
                 segment.unlink()

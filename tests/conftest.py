@@ -2,6 +2,7 @@
 
 import os
 import sys
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -40,6 +41,26 @@ def shm_leak_check():
         if name.startswith("psm_")
     }
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+
+
+@pytest.fixture
+def retrack_segments():
+    """A function that hands shared-memory segments back to this
+    process's resource tracker.
+
+    Attaching a published segment outside a forked worker unregisters it
+    from the tracker, as a spawned worker would; the parent's later
+    ``unlink`` unregisters it again, and the tracker prints a
+    ``KeyError`` traceback.  Call the function on the segments before
+    unlinking them so the two balance.  Registration is a set, so a
+    segment that was never attached is unaffected.
+    """
+
+    def retrack(segments):
+        for segment in segments:
+            resource_tracker.register(segment._name, "shared_memory")
+
+    return retrack
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 """The RAW-4 write-back ring of :class:`HazardMonitor`.
 
-RAW-4 is tracked only in a ring of the last few plans' sorted dirty
-rows, so the monitor's memory is bounded by the scratchpad, never by the
-row universe, and its pruning leans on per-table ``on_plan`` cycles never
-decreasing.  These tests pin both facts; the flagging itself is pinned to
-the dict oracle by ``test_hazard_equivalence.py``.
+RAW-4 is tracked only in a ring of the last few plans' dirty rows, kept
+unsorted as each plan evicted them, so the monitor's memory is bounded
+by the scratchpad, never by the row universe, and its pruning leans on
+per-table ``on_plan`` cycles never decreasing.  These tests pin both
+facts; the flagging itself is pinned to the dict oracle by
+``test_hazard_equivalence.py``, ``test_raw4_merge.py`` and
+``test_hazard_monitor_stateful.py``.
 """
 
 import numpy as np

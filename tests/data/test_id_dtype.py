@@ -9,7 +9,6 @@ digest the same source produced when it stored int64 IDs.
 """
 
 import hashlib
-from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +71,7 @@ def int64_digest(source):
 
 
 @pytest.fixture
-def shared_trace():
+def shared_trace(retrack_segments):
     """A synthetic trace published to shared memory and attached back,
     as a sweep worker sees it; yields ``(attached trace, segment)``."""
     key = (config(), "dtype-contract")
@@ -86,10 +85,7 @@ def shared_trace():
         finally:
             name, _ = _SHM_MANIFEST.pop(key)
             _SHM_ATTACHED.pop(name).close()
-            # Attaching outside a forked worker unregisters the segment
-            # from this process's resource tracker, as a spawned worker
-            # would; register it again so the parent's unlink balances.
-            resource_tracker.register(segment._name, "shared_memory")
+            retrack_segments([segment])
 
 
 @pytest.fixture(params=["synthetic", "scenario", "tsv", "compiled",
