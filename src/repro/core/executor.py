@@ -12,6 +12,12 @@ run:
   cycle runs in the calling process, and each cycle's Plan fans out over
   contiguous table shards on threads — shard 0 on the calling thread,
   the rest on a pool the stream owns — merged back in table order.
+
+Under either executor, a training run's [Train] goes to one more thread
+of that pool at cycle start and is joined at cycle end, beside the
+cycle's Insert, Collect and Plan, with numpy's OpenBLAS held at one
+thread for the stream (``ScratchPipePipeline._stream_cycles`` gives the
+conditions and the slot-disjointness argument).
 * ``overlapped`` realises the paper's premise — Plan for batch
   ``N + future`` runs *ahead*, concurrently with Collect/Insert/Train of
   earlier batches — by sharding the per-table Plan work across dedicated
@@ -128,8 +134,9 @@ class SerialExecutor:
 
     Plan, the one stage whose per-table work is independent, runs on
     ``REPRO_EXECUTOR_WORKERS`` threads (numpy releases the GIL inside
-    its kernels); every other stage, the fault points and the batch cache
-    stay on the calling thread.
+    its kernels), and a training run's Train on one more; Collect,
+    Insert, the fault points and the batch cache stay on the calling
+    thread.
     """
 
     name = "serial"
@@ -156,13 +163,18 @@ _POLL_S = 0.05
 _DEFAULT_TIMEOUT_S = 300.0
 
 
-def _worker_count(num_tables: int) -> int:
+def _worker_count(num_tables: int, busy_cores: int = 0) -> int:
     """Plan shard count, for planner threads and processes alike:
     ``REPRO_EXECUTOR_WORKERS`` or a CPU-bound default, clamped to one
-    shard per table."""
+    shard per table.
+
+    The default leaves ``busy_cores`` cores to the stream's other stage
+    threads (the Train thread of a stream that overlaps its stages), and
+    plans on at least one shard.
+    """
     raw = read_env("REPRO_EXECUTOR_WORKERS")
     if raw is None:
-        count = min(4, os.cpu_count() or 1)
+        count = min(4, max(1, (os.cpu_count() or 1) - busy_cores))
     else:
         try:
             count = int(raw)

@@ -16,7 +16,8 @@ show the monitor *does* catch the hazards the windows exist to prevent.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
@@ -28,6 +29,7 @@ from repro.errors import (
     MonitorCycleError,
     PipelineConfigError,
 )
+from repro.core import blas
 from repro.core.executor import (
     _shard_tables,
     _worker_count,
@@ -49,6 +51,14 @@ PLAN_TO_COLLECT = 1
 PLAN_TO_INSERT = 3
 #: Pipeline distance from a batch's [Plan] to its [Train].
 PLAN_TO_TRAIN = 4
+
+#: The windows at and above which [Train] of batch ``N-5`` can run beside
+#: [Insert] ``N-4``, [Collect] ``N-2`` and [Plan] ``N-1`` of its cycle:
+#: the past window must hold batch ``N-5``'s slots through the Plan of
+#: batch ``N-2`` (its [Collect] reads victims in Train's cycle), and the
+#: future window must span [Insert] to [Collect].
+OVERLAP_PAST_WINDOW = PLAN_TO_TRAIN - PLAN_TO_COLLECT
+OVERLAP_FUTURE_WINDOW = PLAN_TO_INSERT - PLAN_TO_COLLECT
 
 #: Pipeline offsets of the *priced* stages (batch ``b`` is at stage ``s``
 #: in cycle ``b + offset``); Load is unpriced — it overlaps host-side
@@ -608,6 +618,7 @@ class ScratchPipePipeline:
                 raise error
 
     def _do_collect(self, record: _InFlight) -> None:
+        fault_point("pipeline.stage", detail=f"collect:{record.index}")
         if not self._functional:
             return
         index = record.index
@@ -628,6 +639,7 @@ class ScratchPipePipeline:
             record.victim_rows.append(victims)
 
     def _do_insert(self, record: _InFlight) -> None:
+        fault_point("pipeline.stage", detail=f"insert:{record.index}")
         if not self._functional:
             return
         for table, plan in enumerate(record.plans):
@@ -645,11 +657,20 @@ class ScratchPipePipeline:
             record.collected_rows[table] = np.empty(0, dtype=np.float32)
             record.victim_rows[table] = np.empty(0, dtype=np.float32)
 
-    def _do_train(self, record: _InFlight) -> Optional[float]:
-        if self.trainer is None:
-            return None
-        return self.trainer.train(
-            self._get_batch(record.index), record.plans, self.scratchpads
+    def _do_train(self, record: _InFlight, batch: MiniBatch) -> float:
+        """Train on ``batch``; may run on a pool thread, so the caller
+        fetches the batch and fires the fault point."""
+        return self.trainer.train(batch, record.plans, self.scratchpads)
+
+    def _stages_may_overlap(self) -> bool:
+        """Whether the windows leave [Train] no slot in common with the
+        cycle's other stages (see :meth:`_stream_cycles`)."""
+        return (
+            self.trainer is not None
+            and self.future_window >= OVERLAP_FUTURE_WINDOW
+            and all(
+                pad.past_window >= OVERLAP_PAST_WINDOW for pad in self.scratchpads
+            )
         )
 
     def _stats_for(self, record: _InFlight) -> BatchCacheStats:
@@ -707,50 +728,101 @@ class ScratchPipePipeline:
         ``plan(record, cycle)`` is the plan source: it fills the record
         of the batch entering [Plan] at ``cycle``.  The default,
         :meth:`_do_plan`, plans inline, sharding the tables
-        (``REPRO_EXECUTOR_WORKERS`` shards) over a thread pool that this
-        stream owns and shuts down on every exit path, generator close
-        included; one shard runs without a pool.  The overlapped
+        (``REPRO_EXECUTOR_WORKERS`` shards; by default one per core, less
+        the Train thread's when the stages overlap) over a thread pool
+        that this stream owns; one shard runs without a pool.  The overlapped
         executor passes a receiver that takes the plans from its planner
         processes.
-        """
-        pool: Optional[ThreadPoolExecutor] = None
-        if plan is None:
-            shards = _shard_tables(
-                self.config.num_tables, _worker_count(self.config.num_tables)
-            )
-            if len(shards) > 1:
-                pool = ThreadPoolExecutor(
-                    len(shards) - 1, thread_name_prefix="repro-plan"
-                )
-            plan = functools.partial(self._do_plan, shards=shards, pool=pool)
-        try:
-            in_flight: Dict[int, _InFlight] = {}
 
+        Each cycle runs [Train] ``N-5``, [Insert] ``N-4``, [Collect]
+        ``N-2`` and [Plan] ``N-1``.  In a training run, [Train] goes to a
+        pool thread at cycle start while the calling thread runs the
+        other three, and is joined before the cycle ends.  No stage of
+        the cycle touches a slot Train reads or writes:
+
+        * batch ``N-5``'s slots stay held through Plans ``N-4`` to
+          ``N-2`` (past window 3), so neither Insert ``N-4``'s fill slots
+          nor Collect ``N-2``'s victim slots can be among them;
+        * Plan ``N-1`` touches metadata only (Hit-Map, hold mask,
+          replacement stamps), never Storage;
+        * Train touches no CPU table; Insert and Collect, which do, stay
+          on the calling thread in their sequential order.
+
+        The overlap is confined to runs where no hazard can exist: past
+        window >= 3, future window >= 2 (:data:`OVERLAP_PAST_WINDOW`,
+        :data:`OVERLAP_FUTURE_WINDOW`) and no hazard-monitor violation
+        recorded so far.  A violation flagged at Plan concerns that
+        plan's later Collect and Insert, so from the next cycle on the
+        run keeps the sequential order.  It also needs OpenBLAS held at
+        one thread (:mod:`repro.core.blas`), whose own threads would
+        otherwise take the core Train runs on.  Failing any of these,
+        Train runs first on the calling thread, in the sequential order.
+        Batch fetches, fault points, losses, stats, ``monitor.record``
+        and error re-raise stay on the calling thread in that order; if
+        Train and a later stage both fail in one cycle, Train's error is
+        raised, as the sequential order would.  The pool is shut down
+        and BLAS's thread count restored on every exit path, generator
+        close included.
+        """
+        with ExitStack() as owned:
+            overlap = self._stages_may_overlap() and blas.hold_single_thread()
+            if overlap:
+                owned.callback(blas.release)
+            shards: Sequence[Sequence[int]] = ()
+            if plan is None:
+                shards = _shard_tables(
+                    self.config.num_tables,
+                    _worker_count(self.config.num_tables, busy_cores=int(overlap)),
+                )
+            threads = max(len(shards) - 1, 0) + int(overlap)
+            pool: Optional[ThreadPoolExecutor] = None
+            if threads:
+                pool = ThreadPoolExecutor(threads, thread_name_prefix="repro-stage")
+                owned.callback(pool.shutdown, wait=True, cancel_futures=True)
+            if plan is None:
+                plan = functools.partial(self._do_plan, shards=shards, pool=pool)
+
+            def keep(loss: float) -> None:
+                if losses is not None:
+                    losses.append(loss)
+
+            in_flight: Dict[int, _InFlight] = {}
             last_cycle = num_batches - 1 + len(STAGES) - 1
             for cycle in range(last_cycle + 1):
-                # Oldest stage first; window disjointness (verified by the
-                # monitor) makes intra-cycle order immaterial for
-                # correctness.
                 train_idx = cycle - 5
                 retired: Optional[BatchCacheStats] = None
+                training: Optional[Future] = None
                 if 0 <= train_idx < num_batches:
+                    # Train first: handed to the pool when the stages may
+                    # overlap, else run here before the other stages.
                     record = in_flight.pop(train_idx)
-                    loss = self._do_train(record)
-                    if loss is not None and losses is not None:
-                        losses.append(loss)
+                    fault_point("pipeline.stage", detail=f"train:{train_idx}")
+                    if self.trainer is not None:
+                        batch = self._get_batch(train_idx)
+                        hazard_seen = (
+                            self.monitor is not None and bool(self.monitor.violations)
+                        )
+                        if overlap and not hazard_seen:
+                            training = pool.submit(self._do_train, record, batch)
+                        else:
+                            keep(self._do_train(record, batch))
                     retired = self._stats_for(record)
-                insert_idx = cycle - 4
-                if 0 <= insert_idx < num_batches:
-                    self._do_insert(in_flight[insert_idx])
-                # Exchange (cycle - 3) moves data over PCIe; functionally
-                # the staged buffers are already host-side copies, so it is
-                # a no-op here and a priced stage in the timing layer.
-                collect_idx = cycle - 2
-                if 0 <= collect_idx < num_batches:
-                    self._do_collect(in_flight[collect_idx])
-                plan_idx = cycle - 1
-                if 0 <= plan_idx < num_batches:
-                    plan(in_flight[plan_idx], cycle)
+                try:
+                    insert_idx = cycle - 4
+                    if 0 <= insert_idx < num_batches:
+                        self._do_insert(in_flight[insert_idx])
+                    # Exchange (cycle - 3) moves data over PCIe; functionally
+                    # the staged buffers are already host-side copies, so it
+                    # is a no-op here and a priced stage in the timing layer.
+                    collect_idx = cycle - 2
+                    if 0 <= collect_idx < num_batches:
+                        self._do_collect(in_flight[collect_idx])
+                    plan_idx = cycle - 1
+                    if 0 <= plan_idx < num_batches:
+                        plan(in_flight[plan_idx], cycle)
+                finally:
+                    if training is not None:
+                        keep(training.result())
                 if cycle < num_batches:
                     in_flight[cycle] = _InFlight(index=cycle)
                 oldest = min(in_flight) if in_flight else num_batches
@@ -759,9 +831,6 @@ class ScratchPipePipeline:
                     self.monitor.on_cycle_end(cycle)
                 if retired is not None:
                     yield retired
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
 
     def run(self, num_batches: Optional[int] = None) -> PipelineResult:
         """Run the pipeline over ``num_batches`` (default: whole trace)."""

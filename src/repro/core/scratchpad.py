@@ -14,7 +14,7 @@ scratchpad can run in two modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,13 +89,23 @@ class TablePlan:
         this plan was built from; anything else raises
         :class:`PlanCoverageError`.
         """
-        flat = np.asarray(ids, dtype=np.int64).reshape(-1)
-        positions = np.searchsorted(self.unique_ids, flat)
-        if positions.max(initial=-1) >= self.unique_ids.size or not np.array_equal(
-            self.unique_ids[positions], flat
+        return self.locate(ids)[0]
+
+    def locate(self, ids: np.ndarray) -> Tuple[np.ndarray, int]:
+        """``(positions_for(ids), distinct)``: the positions, and how many
+        distinct IDs ``ids`` holds.
+
+        Each distinct ID is searched for once and the positions are mapped
+        back through ``np.unique``'s inverse.  ``distinct`` equals
+        :attr:`num_unique` exactly when every planned ID is looked up.
+        """
+        distinct, inverse = np.unique(np.asarray(ids).reshape(-1), return_inverse=True)
+        found = np.searchsorted(self.unique_ids, distinct)
+        if found.max(initial=-1) >= self.unique_ids.size or not np.array_equal(
+            self.unique_ids[found], distinct
         ):
             raise PlanCoverageError("plan does not cover all requested IDs")
-        return positions.reshape(np.shape(ids))
+        return found[inverse].reshape(np.shape(ids)), int(distinct.size)
 
     def slots_for(self, ids: np.ndarray) -> np.ndarray:
         """Map arbitrary (possibly repeated) batch IDs to their slots."""

@@ -307,12 +307,11 @@ def plan_lookups(
         PlanMismatchError: the plan covers an ID the batch never looks up,
             so the plan belongs to another batch.
     """
-    positions = plan.positions_for(ids)
-    counts = np.bincount(positions.reshape(-1), minlength=plan.num_unique)
-    if not counts.all():
+    positions, distinct = plan.locate(ids)
+    if distinct != plan.num_unique:
         raise PlanMismatchError(
             f"plan/batch mismatch for table {table}: the plan covers "
-            f"{int(np.count_nonzero(counts == 0))} unique IDs the batch never "
+            f"{plan.num_unique - distinct} unique IDs the batch never "
             "looks up — the plan does not belong to this batch"
         )
     return positions, scratchpad.read_slots(plan.slots)

@@ -12,8 +12,11 @@ Instrumented sites (grow this list as subsystems gain hooks):
 
 * ``"sweep.point"``   — entry of :func:`repro.analysis.sweep.run_point`;
   the *detail* is the point label (``system:locality:cache:metric``).
-* ``"pipeline.stage"`` — the ScratchPipe metadata pipeline's Plan stage
-  (detail ``"plan:<batch>"``), firing *inside* a running evaluation.
+* ``"pipeline.stage"`` — the ScratchPipe pipeline's stages, firing
+  *inside* a running evaluation, on the thread that drives the cycle
+  loop: detail ``"plan:<batch>"``, ``"collect:<batch>"``,
+  ``"insert:<batch>"`` or ``"train:<batch>"`` as each stage of that
+  batch starts (``train`` fires before Train is handed to its thread).
 * ``"pipeline.executor"`` — the overlapped executor's planner workers
   (detail ``"plan:<batch>:shard:<shard>"``), firing in the *child*
   process; kill/stall here exercises the parent's liveness watchdog.

@@ -105,6 +105,19 @@ class TestConfigKnobs:
     def test_worker_count_default_clamps_to_tables(self):
         assert _worker_count(1) == 1
 
+    @pytest.mark.parametrize("cores, busy, count", [
+        (2, 0, 2), (2, 1, 1), (1, 1, 1), (8, 1, 4), (None, 1, 1),
+    ])
+    def test_worker_count_default_leaves_busy_cores(self, monkeypatch,
+                                                    cores, busy, count):
+        import repro.core.executor as executor
+
+        monkeypatch.delenv("REPRO_EXECUTOR_WORKERS", raising=False)
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: cores)
+        assert _worker_count(8, busy_cores=busy) == count
+        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "3")
+        assert _worker_count(8, busy_cores=busy) == 3
+
     def test_worker_count_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
         assert _worker_count(8) == 2

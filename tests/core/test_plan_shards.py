@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import blas
 from repro.core.pipeline import HazardError, HazardMonitor, ScratchPipePipeline
 from repro.core.replacement import CachePressureError
 from repro.core.scratchpad import GpuScratchpad, make_scratchpads, required_slots
@@ -171,15 +172,33 @@ class TestShardCountInvariance:
 def test_closing_stream_mid_run_joins_plan_threads(cfg, monkeypatch):
     monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "3")
     threads_before = threading.active_count()
-    pipeline = ScratchPipePipeline(
+    blas_before = blas.thread_count()
+    dataset = make_dataset(cfg, "medium", seed=3, num_batches=24,
+                           with_dense=True)
+    metadata = ScratchPipePipeline(
         config=cfg,
         scratchpads=make_scratchpads(cfg, required_slots(cfg)),
-        dataset_batches=make_dataset(cfg, "medium", seed=3, num_batches=24),
+        dataset_batches=dataset,
         monitor=HazardMonitor(strict=True),
     )
-    stream = pipeline.stream()
-    first = [next(stream) for _ in range(3)]
-    assert threading.active_count() > threads_before
-    stream.close()
-    assert threading.active_count() == threads_before
-    assert [stats.batch_index for stats in first] == [0, 1, 2]
+    # A functional pipeline also trains on the pool, BLAS held at one thread.
+    init = DLRMModel.initialise(cfg, seed=77)
+    run = ScratchPipeTrainingRun(
+        config=cfg,
+        cpu_tables=[t.weights.copy() for t in init.tables],
+        dense_network=init.dense_network,
+        num_slots=required_slots(cfg),
+    )
+    functional = ScratchPipePipeline(
+        config=cfg, scratchpads=run.scratchpads, dataset_batches=dataset,
+        cpu_tables=run.cpu_tables, trainer=run.trainer,
+        monitor=HazardMonitor(strict=True),
+    )
+    for pipeline in (metadata, functional):
+        stream = pipeline.stream()
+        first = [next(stream) for _ in range(3)]
+        assert threading.active_count() > threads_before
+        stream.close()
+        assert threading.active_count() == threads_before
+        assert blas.thread_count() == blas_before
+        assert [stats.batch_index for stats in first] == [0, 1, 2]

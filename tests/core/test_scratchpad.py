@@ -109,6 +109,15 @@ class TestTablePlanSlotsFor:
         assert np.array_equal(plan.unique_ids[positions], ids)
         assert np.array_equal(plan.slots[positions], slots)
 
+    def test_locate_matches_a_search_per_lookup(self):
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 40, size=(6, 4)).astype(np.int32)
+        plan = make_pad(num_slots=64).plan_batch(ids)
+        positions, distinct = plan.locate(ids)
+        assert np.array_equal(positions, np.searchsorted(plan.unique_ids, ids))
+        assert distinct == plan.num_unique
+        assert plan.locate(ids[:2])[1] == np.unique(ids[:2]).size
+
     def test_uncovered_id_raises(self):
         pad = make_pad()
         plan = pad.plan_batch(np.array([4, 2]))

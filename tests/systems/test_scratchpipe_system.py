@@ -209,3 +209,18 @@ class TestTrainerPlanInvariant:
         )
         loss = trainer.train(batch, [plan], [pad])
         assert np.isfinite(loss)
+
+    def test_mismatch_names_the_unlooked_up_count(self):
+        from repro.errors import PlanMismatchError
+        from repro.systems.scratchpipe_system import plan_lookups
+
+        cfg = tiny_config(rows_per_table=50, batch_size=2,
+                          lookups_per_table=2, num_tables=1)
+        pad = make_scratchpads(cfg, num_slots=32, with_storage=True)[0]
+        plan = pad.plan_batch(np.array([1, 2, 3, 4]))
+        with pytest.raises(PlanMismatchError) as excinfo:
+            plan_lookups(plan, pad, np.array([[1, 2], [2, 1]]), 0)
+        assert str(excinfo.value) == (
+            "plan/batch mismatch for table 0: the plan covers 2 unique IDs "
+            "the batch never looks up — the plan does not belong to this batch"
+        )
