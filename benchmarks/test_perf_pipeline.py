@@ -1,16 +1,14 @@
 """Pipeline perf harness: planning + cache-management throughput.
 
 Times the full ScratchPipe pipeline (Plan + Hit-Map + hold-mask +
-replacement + hazard monitoring) and prints a trajectory entry in the
-``BENCH_pipeline.json`` format.  The tracked file is read-only here (the
-opt-in ``REPRO_STRICT_PERF`` comparison reads its previous entry); to add
-a trajectory point, paste the printed entry into it by hand.
+replacement + hazard monitoring) and prints the throughputs it measured.
+End-to-end performance is tracked by ``python3 -m bench``; this test
+keeps two machine-independent gates on the cache-management layers.
 
 Measured:
 
 * metadata-only throughput at the three historical scales (the
-  ``acceptance`` scale — 200 batches / 8 tables / 100k slots — is the
-  trajectory's headline number);
+  ``acceptance`` scale is 200 batches / 8 tables / 100k slots);
 * a *select-flatness* pair: the identical workload run against 100k and 1M
   scratchpad slots.  Victim selection is O(misses) per cycle, so the cost
   must stay near-flat as the slot count grows 10x — the seed's full-scan
@@ -20,25 +18,19 @@ Measured:
 * the seed path, rebuilt from the ``repro.testing.oracles`` reference
   implementations (dict hazard monitor, per-cycle ``np.unique``,
   full-scan victim selection), at the acceptance scale, and the speedup
-  over both it and the previous recorded entry;
-* a ``pipelined`` lane: the acceptance scale run through the
-  ``overlapped`` stage executor, recording what the cross-process
-  Plan-ahead handoff costs (single-core boxes) or buys (multi-core).
+  over it.
 
-``REPRO_SKIP_PERF_ASSERT=1`` prints the entry without asserting the
+``REPRO_SKIP_PERF_ASSERT=1`` prints the numbers without asserting the
 speedup/flatness thresholds (for shared or overloaded boxes).
 """
 
-import json
 import os
-import platform
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.api import CacheSpec, PipelineSpec, SystemSpec, build_system
+from repro.api import CacheSpec, SystemSpec, build_system
 from repro.core.pipeline import HazardMonitor, ScratchPipePipeline
 from repro.data.trace import MaterialisedDataset, make_dataset
 from repro.hardware.spec import DEFAULT_HARDWARE
@@ -49,16 +41,6 @@ from repro.testing.oracles import (
     ScanHazardMonitor,
     use_scan_policies,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_pipeline.json"
-
-#: Label of the printed entry.  Alongside the serial lanes it carries a
-#: ``pipelined`` lane (the ``overlapped`` executor at the acceptance
-#: scale) so the cross-process backend's overhead/benefit is part of the
-#: trajectory.
-RUN_LABEL = "pr10-overlapped-pipeline"
-PREVIOUS_LABEL = "pr8-live-serve"
 
 #: Metadata-only pipeline scales: (tables, rows/table, batch, lookups,
 #: trace length, scratchpad slots).
@@ -100,12 +82,6 @@ FUNCTIONAL_SCALE = dict(
 #: comparison and PR 2's 24-28x, so 12x separates the two with margin in
 #: both directions while staying robust to wall-clock noise.
 MIN_ACCEPTANCE_SPEEDUP = 12.0
-#: Advisory only (recorded + printed, asserted solely under
-#: ``REPRO_STRICT_PERF=1``): the previous entry's batches/sec was recorded
-#: on that PR's box, so the ratio is only meaningful when this run uses
-#: comparable hardware.  1.0 is a no-regression gate against the PR 8
-#: entry; PR 10 measures ~1.1-1.2x on the same box.
-MIN_SPEEDUP_VS_PREVIOUS = 1.0
 MAX_FLATNESS_RATIO = 2.0
 
 
@@ -127,11 +103,7 @@ def _trace(cfg: ModelConfig, scale: dict) -> MaterialisedDataset:
     )
 
 
-def _time_fast_path(
-    scale: dict,
-    trace: MaterialisedDataset = None,
-    executor: str = "serial",
-) -> float:
+def _time_fast_path(scale: dict, trace: MaterialisedDataset = None) -> float:
     """Seconds for one monitored metadata-only run on the current code."""
     cfg = _config(scale)
     if trace is None:
@@ -140,7 +112,6 @@ def _time_fast_path(
         SystemSpec(
             system="scratchpipe",
             cache=CacheSpec(fraction=scale["slots"] / scale["rows"]),
-            pipeline=PipelineSpec(executor=executor),
         ),
         cfg, DEFAULT_HARDWARE,
     )
@@ -197,22 +168,6 @@ def _time_functional(scale: dict) -> float:
     return elapsed
 
 
-def _previous_acceptance_bps(data: dict) -> float:
-    """batches/sec of the previous entry's acceptance scale (0.0 if absent)."""
-    for run in data.get("runs", []):
-        if run.get("label") == PREVIOUS_LABEL:
-            return float(
-                run["throughput"]["acceptance"]["batches_per_sec"]
-            )
-    return 0.0
-
-
-def _load() -> dict:
-    if BENCH_PATH.exists():
-        return json.loads(BENCH_PATH.read_text())
-    return {"runs": []}
-
-
 def test_perf_pipeline_throughput_and_speedup():
     throughput = {}
     flat_cfg = _config(SCALES["flat_100k"])
@@ -249,21 +204,6 @@ def test_perf_pipeline_throughput_and_speedup():
     }
     speedup = seed_seconds / fast_seconds
 
-    # The PR 10 ``pipelined`` lane: the same monitored acceptance run
-    # through the ``overlapped`` executor.  On a single-core box this
-    # records the cross-process handoff's overhead (the planner workers
-    # share the core with the parent); with real parallelism it records
-    # the overlap benefit.  Either way it is the trajectory's honest
-    # number, not a marketing one.
-    pipelined_seconds = _time_fast_path(acceptance, executor="overlapped")
-    throughput["pipelined"] = {
-        "seconds": round(pipelined_seconds, 4),
-        "batches_per_sec": round(
-            acceptance["batches"] / pipelined_seconds, 2
-        ),
-        "executor": "overlapped",
-    }
-
     # Near-flat select cost vs slot count (best-of-2 on the 1M side, same
     # wall-clock noise argument).
     flatness = min(
@@ -271,54 +211,19 @@ def test_perf_pipeline_throughput_and_speedup():
         _time_fast_path(SCALES["flat_1m"]),
     ) / throughput["flat_100k"]["seconds"]
 
-    data = _load()
-    previous_bps = _previous_acceptance_bps(data)
-    new_bps = acceptance["batches"] / fast_seconds
-    speedup_vs_previous = (
-        new_bps / previous_bps if previous_bps else float("nan")
-    )
-
-    entry = {
-        "label": RUN_LABEL,
-        "throughput": throughput,
-        "seed_path_acceptance": {
-            "seconds": round(seed_seconds, 4),
-            "batches_per_sec": round(acceptance["batches"] / seed_seconds, 2),
-        },
-        "speedup_vs_seed_path": round(speedup, 2),
-        "speedup_vs_previous": {
-            "label": PREVIOUS_LABEL,
-            "ratio": round(speedup_vs_previous, 2),
-        },
-        "select_flatness_1m_over_100k": round(flatness, 3),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-
-    print(f"\n{RUN_LABEL} entry (not written; see module docs):")
-    print(json.dumps(entry, indent=2))
-    print(f"pipeline throughput: {throughput}")
+    print(f"\npipeline throughput: {throughput}")
     print(f"seed-path acceptance run: {seed_seconds:.2f}s; "
           f"speedup {speedup:.1f}x (required >= {MIN_ACCEPTANCE_SPEEDUP}x)")
-    print(f"speedup vs {PREVIOUS_LABEL} entry: {speedup_vs_previous:.2f}x "
-          f"(advisory; cross-run, >= {MIN_SPEEDUP_VS_PREVIOUS}x expected on "
-          "comparable hardware)")
     print(f"select flatness (1M slots / 100k slots): {flatness:.2f}x "
           f"(required <= {MAX_FLATNESS_RATIO}x)")
     if os.environ.get("REPRO_SKIP_PERF_ASSERT"):
-        # Shared/overloaded boxes can still record their trajectory point
-        # without turning wall-clock noise into a red suite.
+        # Shared/overloaded boxes can still print their numbers without
+        # turning wall-clock noise into a red suite.
         return
     assert speedup >= MIN_ACCEPTANCE_SPEEDUP, (
         f"pipeline is only {speedup:.2f}x faster than the seed path at the "
         f"acceptance scale (need >= {MIN_ACCEPTANCE_SPEEDUP}x)"
     )
-    if previous_bps and os.environ.get("REPRO_STRICT_PERF"):
-        assert speedup_vs_previous >= MIN_SPEEDUP_VS_PREVIOUS, (
-            f"acceptance throughput is only {speedup_vs_previous:.2f}x "
-            f"the {PREVIOUS_LABEL} entry's recorded {previous_bps} "
-            f"batches/sec (need >= {MIN_SPEEDUP_VS_PREVIOUS}x)"
-        )
     assert flatness <= MAX_FLATNESS_RATIO, (
         f"victim selection cost grew {flatness:.2f}x going from 100k to 1M "
         f"slots (need <= {MAX_FLATNESS_RATIO}x; it should be O(misses), "

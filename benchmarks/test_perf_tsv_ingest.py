@@ -3,9 +3,8 @@
 Parses the deterministic Criteo-style sample fixture through
 ``TsvTraceSource`` and through the per-token reference loop
 (``repro.testing.oracles.PerTokenTsvTraceSource``) and prints lines/sec
-and tokens/sec as a ``BENCH_pipeline.json``-format entry
-(``pr5-tsv-ingest``), alongside the compiled-format replay rate; the
-tracked file itself is never rewritten.  The acceptance gate is a >=20x
+and tokens/sec as a JSON entry (``pr5-tsv-ingest``), alongside the
+compiled-format replay rate.  The acceptance gate is a >=20x
 speedup of the vectorised parser over the per-token loop — the factor
 that makes paper-scale Criteo ingestion usable (the reference loop needs
 hours for a day of the Kaggle set; the bulk hasher, minutes).

@@ -113,13 +113,9 @@ class ExperimentSetup:
                 "processes cannot be applied on top — drop one of "
                 "trace_file / scenario"
             )
-        from repro.core.executor import registered_executors
+        from repro.core.executor import check_executor
 
-        if self.executor not in registered_executors():
-            raise ExperimentConfigError(
-                f"unknown executor {self.executor!r}; registered: "
-                f"{', '.join(registered_executors())}"
-            )
+        check_executor(self.executor, ExperimentConfigError)
 
     def trace(self, locality: str) -> MaterialisedDataset:
         """The benchmark trace for one locality class, memoised by the

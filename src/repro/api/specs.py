@@ -341,11 +341,10 @@ class PipelineSpec:
     Attributes:
         future_window: Upcoming batches [Plan] protects (2 in the paper:
             the [Insert]-to-[Collect] distance).
-        executor: Stage-execution backend, by registered name
-            (``repro.core.executor``): ``"serial"`` (default) or
-            ``"overlapped"`` (Plan N+future on dedicated worker
-            processes).  All backends are bit-identical; the choice is
-            purely a throughput strategy.
+        executor: Executor name (``repro.core.executor``):
+            ``"serial"`` (default) or ``"overlapped"``, an alias that
+            runs the same schedule.  Kept in the spec so specs and
+            journal keys that name it stay valid.
     """
 
     future_window: int = 2
@@ -359,13 +358,9 @@ class PipelineSpec:
                 f"future_window must be an int >= 0, got "
                 f"{self.future_window!r}"
             )
-        from repro.core.executor import registered_executors
+        from repro.core.executor import check_executor
 
-        if self.executor not in registered_executors():
-            raise InvalidSystemSpecError(
-                f"unknown executor {self.executor!r}; registered: "
-                f"{', '.join(registered_executors())}"
-            )
+        check_executor(self.executor, InvalidSystemSpecError)
 
     def to_dict(self) -> dict:
         return {
@@ -439,14 +434,6 @@ class SystemSpec:
             raise InvalidSystemSpecError(
                 f"num_gpus must be an int >= 1, got {self.num_gpus!r}"
             )
-
-    def with_cache(self, cache: Optional[CacheSpec]) -> "SystemSpec":
-        """The same system over a different cache configuration."""
-        return replace(self, cache=cache)
-
-    def with_system(self, system: str) -> "SystemSpec":
-        """The same configuration under a different registered system."""
-        return replace(self, system=system)
 
     # ------------------------------------------------------------------
     # Lossless dict / JSON round-trip

@@ -796,11 +796,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(compare/timeline; see the systems "
                              "subcommand for names)")
     parser.add_argument("--executor", default=None,
-                        help="stage-execution backend: 'serial' (default) "
-                             "or 'overlapped' (Plan N+future on worker "
-                             "processes).  Applies to figure commands and "
-                             "to compare/timeline; every backend is "
-                             "bit-identical, so figure output never "
+                        help="stage executor: 'serial' (default) or "
+                             "'overlapped', an alias that runs the same "
+                             "schedule.  Applies to figure commands and "
+                             "to compare/timeline; figure output never "
                              "depends on this flag")
     parser.add_argument("--trace", default=None,
                         help="replay a real trace file through the "

@@ -113,8 +113,7 @@ class _BlasThreads:
                 self._functions[1](self._saved)
 
 
-# One per process, like the count it guards.  A child forked while a
-# stream holds it inherits the open hold, so it keeps BLAS at one thread.
+# One per process, like the count it guards.
 _BLAS = _BlasThreads()
 
 

@@ -202,37 +202,6 @@ class HitMap:
         self._key_of_slot.fill(EMPTY)
         self._size = 0
 
-    def export_state(self) -> np.ndarray:
-        """Snapshot the slot->key index for cross-process adoption.
-
-        The slot->key array alone determines the whole map (the dense
-        key->slot index is its inverse), so it is the entire payload the
-        overlapped executor's planner workers ship home.
-        """
-        return self._key_of_slot.copy()
-
-    def adopt_state(self, key_of_slot: np.ndarray) -> None:
-        """Replace this map's contents with an exported snapshot.
-
-        Used by the overlapped executor: the parent's Hit-Maps are stale
-        after a run (planning happened in worker processes), so each
-        worker's final :meth:`export_state` is adopted to keep post-run
-        observations identical to a serial run's.
-        """
-        key_of_slot = np.asarray(key_of_slot, dtype=np.int64)
-        if key_of_slot.shape != (self.num_slots,):
-            raise HitMapConfigError(
-                f"adopted state must have shape ({self.num_slots},), "
-                f"got {key_of_slot.shape}"
-            )
-        self.reset()
-        occupied = key_of_slot != EMPTY
-        self._key_of_slot[:] = key_of_slot
-        self._slot_of_key[key_of_slot[occupied]] = np.flatnonzero(
-            occupied
-        ).astype(np.int32)
-        self._size = int(np.count_nonzero(occupied))
-
     def free_slot_mask(self) -> np.ndarray:
         """Boolean mask of vacant slots."""
         return self._key_of_slot == EMPTY

@@ -15,11 +15,10 @@ show the monitor *does* catch the hazards the windows exist to prevent.
 
 from __future__ import annotations
 
-import functools
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +29,7 @@ from repro.errors import (
     PipelineConfigError,
 )
 from repro.core import blas
-from repro.core.executor import (
-    _shard_tables,
-    _worker_count,
-    make_executor,
-    registered_executors,
-)
+from repro.core.executor import _shard_tables, _worker_count, check_executor
 from repro.core.hitmap import EMPTY
 from repro.core.scratchpad import GpuScratchpad, TablePlan
 from repro.data.trace import MiniBatch
@@ -129,42 +123,24 @@ class BatchCacheStats:
         return self.hits / self.unique_ids
 
     @classmethod
-    def from_counters(
-        cls,
-        batch_index: int,
-        total_lookups: int,
-        counters: Sequence[Tuple[int, int, int, int]],
+    def from_plans(
+        cls, batch_index: int, total_lookups: int, plans: Sequence[TablePlan]
     ) -> "BatchCacheStats":
-        """Stats from per-table :func:`plan_counters` tuples, in table order."""
-        unique = tuple(c[0] for c in counters)
-        hits = tuple(c[1] for c in counters)
-        misses = tuple(c[2] for c in counters)
+        """Stats of one batch's per-table plans, in table order."""
+        unique = tuple(plan.num_unique for plan in plans)
+        hits = tuple(plan.num_hits for plan in plans)
+        misses = tuple(plan.num_misses for plan in plans)
         return cls(
             batch_index=batch_index,
             total_lookups=total_lookups,
             unique_ids=sum(unique),
             hits=sum(hits),
             misses=sum(misses),
-            writebacks=sum(c[3] for c in counters),
+            writebacks=sum(plan.num_writebacks for plan in plans),
             per_table_misses=misses,
             per_table_hits=hits,
             per_table_unique=unique,
         )
-
-    @classmethod
-    def from_plans(
-        cls, batch_index: int, total_lookups: int, plans: Sequence[TablePlan]
-    ) -> "BatchCacheStats":
-        """Stats of one batch's per-table plans."""
-        return cls.from_counters(
-            batch_index, total_lookups, [plan_counters(p) for p in plans]
-        )
-
-
-def plan_counters(plan: TablePlan) -> Tuple[int, int, int, int]:
-    """``(unique, hits, misses, writebacks)`` of one table-plan — all a
-    metadata-only run keeps of it."""
-    return (plan.num_unique, plan.num_hits, plan.num_misses, plan.num_writebacks)
 
 
 #: "No write pending" sentinel for the vectorised pending-cycle arrays;
@@ -374,15 +350,11 @@ class _InFlight:
     """State of one mini-batch travelling down the pipeline.
 
     Carries the batch's trace index, not the batch: a stage that needs
-    the lookups fetches them from the pipeline's batch cache, so a
-    parent that only retires statistics never materialises a batch.
-    A plan source fills either ``plans`` or, when the per-table plans
-    stay with a planner process, the finished ``stats``.
+    the lookups fetches them from the pipeline's batch cache.
     """
 
     index: int
     plans: List[TablePlan] = field(default_factory=list)
-    stats: Optional[BatchCacheStats] = None
     collected_rows: List[np.ndarray] = field(default_factory=list)
     victim_rows: List[np.ndarray] = field(default_factory=list)
 
@@ -473,12 +445,10 @@ class ScratchPipePipeline:
         future_window: How many upcoming batches [Plan] protects (2 in the
             paper: the [Insert]-to-[Collect] distance).
         monitor: Optional hazard monitor.
-        executor: Execution strategy, by registered name
-            (:mod:`repro.core.executor`): ``"serial"`` runs every stage in
-            the calling process, each cycle's Plan sharded by table over
-            threads; ``"overlapped"`` runs Plan N+future on dedicated
-            worker processes while Collect/Insert/Train retire here.  All
-            executors produce bit-identical results.
+        executor: ``"serial"`` or ``"overlapped"``
+            (:data:`repro.core.executor.EXECUTORS`).  Both names run the
+            one schedule of :meth:`_stream_cycles`; ``"overlapped"`` is
+            kept as an alias for specs and journals that name it.
     """
 
     config: ModelConfig
@@ -491,11 +461,7 @@ class ScratchPipePipeline:
     executor: str = "serial"
 
     def __post_init__(self) -> None:
-        if self.executor not in registered_executors():
-            raise ExecutorConfigError(
-                f"unknown executor {self.executor!r}; registered: "
-                f"{', '.join(registered_executors())}"
-            )
+        check_executor(self.executor, ExecutorConfigError)
         if len(self.scratchpads) != self.config.num_tables:
             raise PipelineConfigError(
                 f"need one scratchpad per table ({self.config.num_tables}), "
@@ -566,8 +532,7 @@ class ScratchPipePipeline:
     ) -> Tuple[List[Tuple[TablePlan, List[str]]], Optional[Exception]]:
         """Plan and check ``tables`` of one batch, in order.
 
-        The unit of Plan work both executors shard: the serial executor
-        runs shards on threads, the overlapped one on planner processes.
+        The unit of Plan work the stream shards over threads.
         Returns ``(planned, error)``: each planned table's plan with the
         monitor's :meth:`HazardMonitor.check` messages, and the exception
         that stopped the shard early (``None`` if every table planned).
@@ -592,7 +557,7 @@ class ScratchPipePipeline:
         shards: Sequence[Sequence[int]],
         pool: Optional[ThreadPoolExecutor],
     ) -> None:
-        """The inline plan source: every table, in this process.
+        """[Plan] of ``record``'s batch, every table.
 
         Shard 0 runs on the calling thread and the others on ``pool``
         (ScratchPipe's per-table cache managers share no Plan state, and
@@ -673,13 +638,6 @@ class ScratchPipePipeline:
             )
         )
 
-    def _stats_for(self, record: _InFlight) -> BatchCacheStats:
-        if record.stats is not None:
-            return record.stats
-        return BatchCacheStats.from_plans(
-            record.index, self.config.lookups_per_batch, record.plans
-        )
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -703,10 +661,6 @@ class ScratchPipePipeline:
                 functional-mode training loss.  Kept per-invocation (not
                 on the pipeline object) so interleaved or abandoned
                 streams cannot contaminate one another.
-
-        Which process runs which stage is delegated to the configured
-        :attr:`executor` (``repro.core.executor``); every backend yields
-        bit-identical statistics in identical order.
         """
         total = len(self.dataset_batches)
         if num_batches is None:
@@ -715,24 +669,17 @@ class ScratchPipePipeline:
             raise PipelineConfigError(
                 f"num_batches must be in [1, {total}], got {num_batches}"
             )
-        yield from make_executor(self.executor).stream(self, num_batches, losses)
+        yield from self._stream_cycles(num_batches, losses)
 
     def _stream_cycles(
-        self,
-        num_batches: int,
-        losses: Optional[List[float]] = None,
-        plan: Optional[Callable[[_InFlight, int], None]] = None,
+        self, num_batches: int, losses: Optional[List[float]] = None
     ) -> Iterator[BatchCacheStats]:
-        """The cycle loop every executor runs.
+        """The cycle loop.
 
-        ``plan(record, cycle)`` is the plan source: it fills the record
-        of the batch entering [Plan] at ``cycle``.  The default,
-        :meth:`_do_plan`, plans inline, sharding the tables
-        (``REPRO_EXECUTOR_WORKERS`` shards; by default one per core, less
-        the Train thread's when the stages overlap) over a thread pool
-        that this stream owns; one shard runs without a pool.  The overlapped
-        executor passes a receiver that takes the plans from its planner
-        processes.
+        Each cycle's [Plan] shards the tables (``REPRO_EXECUTOR_WORKERS``
+        shards; by default one per core, less the Train thread's when the
+        stages overlap) over a thread pool that this stream owns; one
+        shard runs without a pool.
 
         Each cycle runs [Train] ``N-5``, [Insert] ``N-4``, [Collect]
         ``N-2`` and [Plan] ``N-1``.  In a training run, [Train] goes to a
@@ -768,19 +715,15 @@ class ScratchPipePipeline:
             overlap = self._stages_may_overlap() and blas.hold_single_thread()
             if overlap:
                 owned.callback(blas.release)
-            shards: Sequence[Sequence[int]] = ()
-            if plan is None:
-                shards = _shard_tables(
-                    self.config.num_tables,
-                    _worker_count(self.config.num_tables, busy_cores=int(overlap)),
-                )
-            threads = max(len(shards) - 1, 0) + int(overlap)
+            shards = _shard_tables(
+                self.config.num_tables,
+                _worker_count(self.config.num_tables, busy_cores=int(overlap)),
+            )
+            threads = len(shards) - 1 + int(overlap)
             pool: Optional[ThreadPoolExecutor] = None
             if threads:
                 pool = ThreadPoolExecutor(threads, thread_name_prefix="repro-stage")
                 owned.callback(pool.shutdown, wait=True, cancel_futures=True)
-            if plan is None:
-                plan = functools.partial(self._do_plan, shards=shards, pool=pool)
 
             def keep(loss: float) -> None:
                 if losses is not None:
@@ -806,7 +749,9 @@ class ScratchPipePipeline:
                             training = pool.submit(self._do_train, record, batch)
                         else:
                             keep(self._do_train(record, batch))
-                    retired = self._stats_for(record)
+                    retired = BatchCacheStats.from_plans(
+                        train_idx, self.config.lookups_per_batch, record.plans
+                    )
                 try:
                     insert_idx = cycle - 4
                     if 0 <= insert_idx < num_batches:
@@ -819,7 +764,7 @@ class ScratchPipePipeline:
                         self._do_collect(in_flight[collect_idx])
                     plan_idx = cycle - 1
                     if 0 <= plan_idx < num_batches:
-                        plan(in_flight[plan_idx], cycle)
+                        self._do_plan(in_flight[plan_idx], cycle, shards, pool)
                 finally:
                     if training is not None:
                         keep(training.result())

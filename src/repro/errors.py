@@ -33,8 +33,6 @@ __all__ = [
     "HoldMaskConfigError",
     "PipelineConfigError",
     "ExecutorConfigError",
-    "ExecutorUnavailableError",
-    "ExecutorWorkerError",
     "HazardError",
     "MonitorCycleError",
     "ScratchpadConfigError",
@@ -115,17 +113,8 @@ class PipelineConfigError(ValueError):
 
 
 class ExecutorConfigError(ValueError):
-    """A stage executor was requested by an unknown name, registered
-    twice, or configured with invalid arguments."""
-
-
-class ExecutorUnavailableError(RuntimeError):
-    """The requested stage executor cannot run on this platform (the
-    overlapped backend needs the ``fork`` start method)."""
-
-
-class ExecutorWorkerError(RuntimeError):
-    """A Plan-ahead worker process died or broke the message protocol."""
+    """A stage executor was requested by an unknown name, or its Plan
+    shard count (``REPRO_EXECUTOR_WORKERS``) is invalid."""
 
 
 class HazardError(AssertionError, RuntimeError):

@@ -17,7 +17,7 @@ from repro.errors import HardwareSpecError
 from repro.hardware.interconnect import Link
 from repro.hardware.memory import RANDOM, SCATTERED_WRITE, SEQUENTIAL, MemoryDevice
 from repro.hardware.spec import DEFAULT_HARDWARE, HardwareSpec
-from repro.model.config import ELEMENT_BYTES, ModelConfig, mlp_flops
+from repro.model.config import ModelConfig, mlp_flops
 
 #: Bytes of one sparse feature ID (int64, matching PyTorch's index dtype).
 ID_BYTES = 8
@@ -230,8 +230,3 @@ class CostModel:
             + self.embedding_reduce(rows, "gpu")
             + self.embedding_backward(rows, unique_rows, "gpu")
         )
-
-
-def bytes_of_rows(config: ModelConfig, rows: float) -> float:
-    """Bytes occupied by ``rows`` embedding rows under ``config``."""
-    return rows * config.embedding_dim * ELEMENT_BYTES

@@ -512,30 +512,25 @@ _SPAWN_PRIMITIVES = frozenset({"Process", "get_context", "Pool", "Manager"})
 
 @register_rule
 class ProcessDisciplineRule(LintRule):
-    """Raw ``multiprocessing`` process spawning only in the executor.
+    """No raw ``multiprocessing`` process spawning anywhere.
 
-    Worker processes need the full lifecycle treatment the overlapped
-    executor implements — liveness polling against a dead child,
-    terminate+join on every exit path, queue teardown that cannot
-    deadlock on the feeder thread.  A stray ``mp.Process`` elsewhere gets
-    none of that and hangs CI on the first crashed child.  Process
-    creation (``Process``, ``get_context``, ``Pool``, ``Manager``) is
-    confined to ``repro/core/executor.py``; pool-shaped parallelism goes
-    through ``concurrent.futures`` (which owns its worker lifecycle), and
-    introspection calls like ``get_start_method`` remain free.
+    A raw worker process needs liveness polling against a dead child,
+    terminate+join on every exit path and queue teardown that cannot
+    deadlock on the feeder thread; a stray ``mp.Process`` gets none of
+    that and hangs CI on the first crashed child.  No module creates
+    processes with ``Process``, ``get_context``, ``Pool`` or ``Manager``:
+    process pools go through ``concurrent.futures`` (which owns its
+    worker lifecycle), and introspection calls like
+    ``get_start_method`` remain free.
     """
 
     name = "process-discipline"
     description = (
-        "multiprocessing process spawning (Process/get_context/Pool/"
-        "Manager) only inside repro/core/executor.py"
+        "no multiprocessing process spawning (Process/get_context/Pool/"
+        "Manager); use concurrent.futures"
     )
 
-    allowed_modules: Tuple[str, ...] = ("repro/core/executor.py",)
-
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        if _allowed_path(module.rel, self.allowed_modules):
-            return
         aliases = _import_aliases(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom):
@@ -545,10 +540,8 @@ class ProcessDisciplineRule(LintRule):
                         if name.name in _SPAWN_PRIMITIVES:
                             yield module.finding(
                                 node, self.name,
-                                f"importing multiprocessing.{name.name} "
-                                "outside the executor module "
-                                "(repro/core/executor.py); spawn workers "
-                                "through an Executor backend or "
+                                f"importing multiprocessing.{name.name}; "
+                                "start worker processes through "
                                 "concurrent.futures",
                             )
             elif isinstance(node, ast.Attribute):
@@ -562,9 +555,8 @@ class ProcessDisciplineRule(LintRule):
                 ):
                     yield module.finding(
                         node, self.name,
-                        f"direct {dotted} use outside the executor module "
-                        "(repro/core/executor.py); spawn workers through "
-                        "an Executor backend or concurrent.futures",
+                        f"direct {dotted} use; start worker processes "
+                        "through concurrent.futures",
                     )
 
 

@@ -104,11 +104,6 @@ class ModelConfig:
         return self.num_tables * self.lookups_per_table * self.batch_size
 
     @property
-    def gathered_bytes_per_batch(self) -> int:
-        """Bytes gathered per iteration (also the gradient scatter payload)."""
-        return self.lookups_per_batch * self.row_bytes
-
-    @property
     def reduced_bytes_per_batch(self) -> int:
         """Bytes of the per-table reduced embedding output per iteration."""
         return self.num_tables * self.batch_size * self.row_bytes

@@ -343,7 +343,6 @@ class ScratchPipeTrainer:
     config: ModelConfig
     dense_network: DenseNetwork
     optimizer: RowOptimizer = field(default_factory=SGD)
-    losses: List[float] = field(default_factory=list)
 
     def train(
         self,
@@ -380,7 +379,6 @@ class ScratchPipeTrainer:
                 plans[t].slots, self.optimizer.update_rows(rows, grads)
             )
         self.dense_network.step(self.optimizer)
-        self.losses.append(loss)
         return loss
 
 

@@ -17,9 +17,6 @@ Instrumented sites (grow this list as subsystems gain hooks):
   loop: detail ``"plan:<batch>"``, ``"collect:<batch>"``,
   ``"insert:<batch>"`` or ``"train:<batch>"`` as each stage of that
   batch starts (``train`` fires before Train is handed to its thread).
-* ``"pipeline.executor"`` — the overlapped executor's planner workers
-  (detail ``"plan:<batch>:shard:<shard>"``), firing in the *child*
-  process; kill/stall here exercises the parent's liveness watchdog.
 * ``"fetch.read"``     — each download attempt of
   :func:`repro.data.fetch.fetch_trace` (detail: the URL).
 

@@ -36,7 +36,7 @@ def cfg():
 
 
 @pytest.fixture(autouse=True)
-def two_planners(monkeypatch):
+def two_plan_shards(monkeypatch):
     monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
 
 

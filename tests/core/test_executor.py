@@ -1,35 +1,29 @@
-"""Executor-backend tests: registry contracts, serial vs overlapped
-bit-identity (the PR 10 determinism contract), and planner-worker fault
-injection at the ``pipeline.executor`` site — a crashed, stalled or
-raising planner must surface as a named error, never a hang or a leaked
-shared-memory segment."""
+"""Executor tests: the executor names, serial vs overlapped
+bit-identity (the determinism contract), re-streaming one pipeline, and
+a fault raised at an overlapped Plan — it must surface as the named
+error with no stage thread left behind."""
 
-import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core.executor import (
-    _liveness_timeout,
-    _shard_tables,
-    _worker_count,
-    make_executor,
-    register_executor,
-    registered_executors,
-)
+from repro.api import InvalidSystemSpecError, PipelineSpec
+from repro.core.executor import EXECUTORS, _shard_tables, _worker_count
 from repro.core.pipeline import HazardError, HazardMonitor, ScratchPipePipeline
 from repro.core.scratchpad import make_scratchpads, required_slots
 from repro.data.trace import make_dataset
-from repro.errors import (
-    ExecutorConfigError,
-    ExecutorUnavailableError,
-    ExecutorWorkerError,
-)
+from repro.errors import ExecutorConfigError
 from repro.model.config import tiny_config
 from repro.model.dlrm import DLRMModel, DenseNetwork
 from repro.model.optimizer import SGD
 from repro.systems.scratchpipe_system import ScratchPipeTrainingRun
-from repro.testing.faults import FaultSpec, InjectedFaultError, injected_faults
+from repro.testing.faults import (
+    FaultSpec,
+    InjectedFaultError,
+    injected_faults,
+    injection_count,
+)
 
 
 @pytest.fixture
@@ -59,37 +53,41 @@ def run_once(cfg, dataset, executor, *, strict=False, num_slots=None,
     return result, monitor, pads
 
 
+def hit_map_contents(pads):
+    """Each table's cached keys, in slot order, with their slots."""
+    contents = []
+    for pad in pads:
+        keys = pad.hit_map.keys()
+        contents.append((keys.tolist(), pad.hit_map.slots_of_keys(keys).tolist()))
+    return contents
+
+
 def assert_runs_identical(cfg, serial, overlapped):
     s_result, s_monitor, s_pads = serial
     o_result, o_monitor, o_pads = overlapped
     assert o_result.cache_stats == s_result.cache_stats
     assert o_result.losses == s_result.losses
     assert o_monitor.violations == s_monitor.violations
-    for table in range(cfg.num_tables):
-        assert np.array_equal(
-            o_pads[table].hit_map.export_state(),
-            s_pads[table].hit_map.export_state(),
-        )
+    assert hit_map_contents(o_pads) == hit_map_contents(s_pads)
+
+
+def repro_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("repro-")]
 
 
 class TestRegistry:
+    """The executor names every pipeline, spec and setup checks against."""
+
     def test_builtins_registered(self):
-        assert {"serial", "overlapped"} <= set(registered_executors())
+        assert set(EXECUTORS) == {"serial", "overlapped"}
 
     def test_names_sorted(self):
-        names = registered_executors()
-        assert list(names) == sorted(names)
+        assert list(EXECUTORS) == sorted(EXECUTORS)
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ExecutorConfigError, match="unknown executor"):
-            make_executor("warp-drive")
-
-    def test_duplicate_registration_rejected(self):
-        class Impostor:
-            pass
-
-        with pytest.raises(ExecutorConfigError, match="already registered"):
-            register_executor("serial")(Impostor)
+        with pytest.raises(InvalidSystemSpecError,
+                           match="unknown executor 'warp-drive'"):
+            PipelineSpec(executor="warp-drive")
 
     def test_pipeline_validates_executor_eagerly(self, cfg, dataset):
         with pytest.raises(ExecutorConfigError, match="warp-drive"):
@@ -128,30 +126,11 @@ class TestConfigKnobs:
         with pytest.raises(ExecutorConfigError, match="REPRO_EXECUTOR_WORKERS"):
             _worker_count(8)
 
-    @pytest.mark.parametrize("raw", ["soon", "0", "-1.5"])
-    def test_timeout_env_validated(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_EXECUTOR_TIMEOUT_S", raw)
-        with pytest.raises(
-            ExecutorConfigError, match="REPRO_EXECUTOR_TIMEOUT_S"
-        ):
-            _liveness_timeout()
-
     def test_shards_contiguous_and_ordered(self):
         shards = _shard_tables(5, 3)
         assert shards == [(0, 1), (2, 3), (4,)]
         flat = [t for shard in shards for t in shard]
         assert flat == sorted(flat)
-
-    def test_daemonic_parent_rejected(self, cfg, dataset, monkeypatch):
-        class _Daemon:
-            daemon = True
-
-        monkeypatch.setattr(
-            "repro.core.executor.multiprocessing.current_process",
-            lambda: _Daemon(),
-        )
-        with pytest.raises(ExecutorUnavailableError, match="daemonic"):
-            run_once(cfg, dataset, "overlapped")
 
 
 class TestMetadataBitIdentity:
@@ -183,29 +162,12 @@ class TestMetadataBitIdentity:
         assert streams[0] == streams[1]
 
 
-class _CountingDataset:
-    """Dataset wrapper counting the ``batch()`` calls made in this
-    process (forked planners count into their own copies)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def __len__(self):
-        return len(self.inner)
-
-    def batch(self, index):
-        self.calls += 1
-        return self.inner.batch(index)
-
-
 class TestSingleLoop:
-    """Both executors drive the pipeline's one cycle loop; only the plan
-    source differs."""
+    """Both executors drive the pipeline's one cycle loop in the calling
+    process; only when Plan runs differs."""
 
-    def test_early_close_stops_planners(
-        self, cfg, dataset, shm_leak_check, monkeypatch
-    ):
+    def test_early_close_leaves_no_stage_thread(self, cfg, dataset,
+                                                monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
         pipeline = ScratchPipePipeline(
             config=cfg,
@@ -216,30 +178,36 @@ class TestSingleLoop:
         )
         stream = pipeline.stream()
         first = [next(stream) for _ in range(3)]
-        assert multiprocessing.active_children()
+        assert repro_threads()
         stream.close()
-        assert multiprocessing.active_children() == []
+        assert repro_threads() == []
         assert [s.batch_index for s in first] == [0, 1, 2]
 
-    def test_metadata_parent_never_fetches_batches(
-        self, cfg, dataset, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
-        stats = {}
-        calls = {}
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_restream_without_reset_matches_serial(self, cfg, dataset,
+                                                   monkeypatch, workers):
+        # Streaming one pipeline twice carries every table's Plan state
+        # (Hit-Map, hold mask, replacement stamps) into the second pass,
+        # which therefore checks that the stream kept all of it.
+        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", workers)
+        runs = {}
         for executor in ("serial", "overlapped"):
-            counting = _CountingDataset(dataset)
+            pads = make_scratchpads(cfg, required_slots(cfg))
             pipeline = ScratchPipePipeline(
-                config=cfg,
-                scratchpads=make_scratchpads(cfg, required_slots(cfg)),
-                dataset_batches=counting,
+                config=cfg, scratchpads=pads, dataset_batches=dataset,
                 executor=executor,
             )
-            stats[executor] = pipeline.run().cache_stats
-            calls[executor] = counting.calls
-        assert calls["serial"] == len(dataset)  # the wrapper does count
-        assert calls["overlapped"] == 0
-        assert stats["overlapped"] == stats["serial"]
+            passes, violations = [], []
+            for _ in range(2):
+                # A monitor's cycles must not decrease, so each pass,
+                # whose cycles restart at 0, gets its own.
+                pipeline.monitor = HazardMonitor(strict=False)
+                passes.append(list(pipeline.stream()))
+                violations.append(pipeline.monitor.violations)
+            runs[executor] = (passes, violations, hit_map_contents(pads))
+        assert runs["overlapped"] == runs["serial"]
+        passes = runs["serial"][0]
+        assert passes[1] != passes[0]  # the second pass starts warm
 
 
 class TestFunctionalBitIdentity:
@@ -330,9 +298,9 @@ class TestHazardParity:
 
 
 class TestPlannerFaults:
-    """Satellite 2: kill/stall/raise a planner mid-batch.  Every leg must
-    end in recovery or a named repro.errors failure — never a hang, never
-    a leaked /dev/shm segment (``shm_leak_check``)."""
+    """A fault raised at an overlapped Plan surfaces as the injected error
+    and leaves no stage thread behind; a stalled stage changes no
+    result."""
 
     @pytest.fixture
     def fault_cfg(self):
@@ -343,62 +311,28 @@ class TestPlannerFaults:
     def fault_dataset(self, fault_cfg):
         return make_dataset(fault_cfg, "medium", seed=11, num_batches=16)
 
-    def test_killed_planner_surfaces_named_error(
-        self, fault_cfg, fault_dataset, tmp_path, shm_leak_check, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
-        with injected_faults(
-            FaultSpec(site="pipeline.executor", mode="kill", after=3),
-            state_dir=str(tmp_path / "faults"),
-        ):
-            with pytest.raises(ExecutorWorkerError, match="died with exit"):
-                run_once(fault_cfg, fault_dataset, "overlapped")
-
     def test_raising_planner_surfaces_injected_error(
-        self, fault_cfg, fault_dataset, tmp_path, shm_leak_check, monkeypatch
+        self, fault_cfg, fault_dataset, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
         with injected_faults(
-            FaultSpec(site="pipeline.executor", mode="raise", after=2),
+            FaultSpec(site="pipeline.stage", mode="raise", match="plan:4"),
             state_dir=str(tmp_path / "faults"),
         ):
-            with pytest.raises(InjectedFaultError):
+            with pytest.raises(InjectedFaultError, match="plan:4"):
                 run_once(fault_cfg, fault_dataset, "overlapped")
+        assert repro_threads() == []
 
     def test_short_stall_recovers_bit_identical(
-        self, fault_cfg, fault_dataset, tmp_path, shm_leak_check, monkeypatch
+        self, fault_cfg, fault_dataset, tmp_path, monkeypatch
     ):
         serial = run_once(fault_cfg, fault_dataset, "serial")
         monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
         with injected_faults(
-            FaultSpec(site="pipeline.executor", mode="stall", stall_s=0.2,
-                      after=4),
+            FaultSpec(site="pipeline.stage", mode="stall", stall_s=0.2,
+                      match="insert:4"),
             state_dir=str(tmp_path / "faults"),
         ):
             overlapped = run_once(fault_cfg, fault_dataset, "overlapped")
         assert_runs_identical(fault_cfg, serial, overlapped)
-
-    def test_long_stall_trips_liveness_watchdog(
-        self, fault_cfg, fault_dataset, tmp_path, shm_leak_check, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
-        monkeypatch.setenv("REPRO_EXECUTOR_TIMEOUT_S", "0.4")
-        with injected_faults(
-            FaultSpec(site="pipeline.executor", mode="stall", stall_s=30.0,
-                      after=3),
-            state_dir=str(tmp_path / "faults"),
-        ):
-            with pytest.raises(ExecutorWorkerError, match="hung"):
-                run_once(fault_cfg, fault_dataset, "overlapped")
-
-    def test_fault_free_plan_leaves_serial_unaffected(
-        self, fault_cfg, fault_dataset, tmp_path
-    ):
-        # The executor site never fires on the serial path: the plan
-        # targets planner workers, and serial has none.
-        with injected_faults(
-            FaultSpec(site="pipeline.executor", mode="raise"),
-            state_dir=str(tmp_path / "faults"),
-        ):
-            result, _, _ = run_once(fault_cfg, fault_dataset, "serial")
-        assert len(result.cache_stats) == 16
+        assert injection_count(str(tmp_path / "faults")) == 1

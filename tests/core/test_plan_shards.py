@@ -1,4 +1,4 @@
-"""Table-parallel Plan in the serial executor.
+"""Table-parallel Plan.
 
 Each cycle's per-table Plan and hazard check run on
 ``REPRO_EXECUTOR_WORKERS`` contiguous table shards (shard 0 on the
@@ -23,6 +23,7 @@ from repro.model.config import tiny_config
 from repro.model.dlrm import DLRMModel, DenseNetwork
 from repro.model.optimizer import SGD
 from repro.systems.scratchpipe_system import ScratchPipeTrainingRun
+from test_executor import hit_map_contents
 
 #: 1: no pool; 2 and 3: uneven contiguous shards; 8: clamped to one per table.
 WORKER_COUNTS = ("1", "2", "3", "8")
@@ -78,8 +79,7 @@ class TestShardCountInvariance:
                 config=cfg, scratchpads=pads, dataset_batches=dataset,
                 monitor=monitor,
             ).run()
-            hit_maps = [pad.hit_map.export_state().tolist() for pad in pads]
-            return result.cache_stats, hit_maps, monitor.violations
+            return result.cache_stats, hit_map_contents(pads), monitor.violations
 
         assert_all_equal(for_each_count(monkeypatch, run))
 
@@ -163,7 +163,7 @@ class TestShardCountInvariance:
         results = for_each_count(monkeypatch, run)
         message, retired = results["1"]
         assert "slots are eligible" in message and retired
-        # Planner processes ship a stopped shard's prefix, then its error.
+        # The overlapped alias re-raises a stopped shard's error the same.
         monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "3")
         results["overlapped"] = run("overlapped")
         assert_all_equal(results)

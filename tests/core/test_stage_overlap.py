@@ -13,6 +13,7 @@ that already holds a (planted) violation keeps every cycle sequential.
 """
 
 import copy
+import multiprocessing
 import threading
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.model.dlrm import DLRMModel
 from repro.model.optimizer import SGD
 from repro.systems.scratchpipe_system import ScratchPipeTrainingRun
 from repro.testing.faults import FaultSpec, InjectedFaultError, injected_faults
+from test_executor import hit_map_contents
 
 #: Whether this process can hold OpenBLAS at one thread; without it every
 #: stream keeps the sequential order.
@@ -109,7 +111,7 @@ def outcome(run, result):
         [loss.hex() for loss in result.losses],
         [table.tobytes() for table in run.final_tables()],
         [pad.storage.tobytes() for pad in run.scratchpads],
-        [pad.hit_map.export_state().tobytes() for pad in run.scratchpads],
+        hit_map_contents(run.scratchpads),
     )
 
 
@@ -272,7 +274,7 @@ class TestStreamLifetime:
         assert repro_threads() == []
 
 
-@pytest.mark.parametrize("stage", ["collect", "insert", "train"])
+@pytest.mark.parametrize("stage", ["collect", "insert", "train", "plan"])
 def test_fault_point_mid_run(cfg, dataset, tmp_path, stage):
     before = blas.thread_count()
     run = training_run(cfg, monitor=HazardMonitor(strict=True))
@@ -285,4 +287,5 @@ def test_fault_point_mid_run(cfg, dataset, tmp_path, stage):
             list(pipeline_of(run, dataset).stream(losses=losses))
     assert losses  # the fault came mid-run
     assert repro_threads() == []
+    assert multiprocessing.active_children() == []
     assert blas.thread_count() == before

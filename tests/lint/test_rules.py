@@ -284,7 +284,8 @@ class TestProcessDiscipline:
             """, "process-discipline")
         assert run.clean
 
-    def test_executor_module_allowed(self, tmp_path):
+    def test_executor_module_flagged(self, tmp_path):
+        # No module is exempt, the stage-executor module included.
         run = lint_source(tmp_path, """\
             import multiprocessing
 
@@ -292,7 +293,7 @@ class TestProcessDiscipline:
                 context = multiprocessing.get_context("fork")
                 return context.Process(target=fn, daemon=True)
             """, "process-discipline", rel="repro/core/executor.py")
-        assert run.clean
+        assert rules_found(run) == ["process-discipline"]
 
 
 class TestOracleIsolation:
