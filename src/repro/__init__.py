@@ -10,8 +10,8 @@ Public API tour
 * ``repro.model``    — numpy DLRM: embeddings, MLPs, interaction, SGD.
 * ``repro.data``     — power-law access distributions, dataset profiles,
   synthetic traces, real-trace ingestion.
-* ``repro.core``     — ScratchPipe's Hit-Map, Hold mask, scratchpad,
-  straw-man cache and the 6-stage pipeline.
+* ``repro.core``     — ScratchPipe's Hit-Map, Hold mask, scratchpad and
+  the 6-stage pipeline (the straw-man streams it with both windows at 0).
 * ``repro.systems``  — the four end-to-end design points plus the 8-GPU
   baseline, each producing per-iteration latency/energy breakdowns.
 * ``repro.hardware`` — the analytic Xeon + V100 + PCIe timing substrate.
@@ -62,7 +62,6 @@ from repro.core import (
     HitMap,
     HoldMask,
     ScratchPipePipeline,
-    StrawmanCache,
     required_slots,
 )
 from repro.data.fetch import ChecksumMismatchError
@@ -130,7 +129,6 @@ __all__ = [
     "HitMap",
     "HoldMask",
     "ScratchPipePipeline",
-    "StrawmanCache",
     "required_slots",
     "MiniBatch",
     "ScenarioSpec",

@@ -85,13 +85,13 @@ class ExperimentSetup:
             be the geometry the spec maps onto
             (``trace_file.configure(...)``).  Mutually exclusive with a
             non-stationary ``scenario``.
-        executor: Stage-execution backend every point of this setup runs
-            under (``repro.core.executor`` registry).  The default
+        executor: Executor name every point of this setup carries, one
+            of :data:`repro.core.executor.EXECUTORS`.  The default
             ``"serial"`` keeps spec-less points on the legacy path; any
             other name makes :meth:`point` attach a full
-            :class:`~repro.api.SystemSpec` carrying the executor, so
-            sweep workers build their systems with it.  All backends are
-            bit-identical — figure output never depends on this field.
+            :class:`~repro.api.SystemSpec` carrying the name.  Both names
+            run one schedule (``"overlapped"`` is an alias), so figure
+            output never depends on this field.
     """
 
     config: ModelConfig = field(default_factory=ModelConfig)

@@ -561,7 +561,7 @@ def _encode_result(value: Any) -> Any:
                 for k, v in value.items()
             ]
         }
-    from repro.systems.scratchpipe_system import AggregateCacheStats
+    from repro.systems.strawman_system import AggregateCacheStats
 
     if isinstance(value, AggregateCacheStats):
         return {
@@ -598,7 +598,7 @@ def _decode_result(value: Any) -> Any:
                 for k, v in value["__dict__"]
             }
         if "__cache_stats__" in value:
-            from repro.systems.scratchpipe_system import AggregateCacheStats
+            from repro.systems.strawman_system import AggregateCacheStats
 
             return AggregateCacheStats(**{
                 k: _decode_result(v)

@@ -633,6 +633,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
 def cmd_timeline(args: argparse.Namespace) -> None:
     """Render the Figure 10 pipeline schedule with stage utilisation."""
     from repro.core.timeline import PipelineTimeline, render_ascii
+    from repro.systems import ScratchPipeSystem
 
     if args.locality not in LOCALITY_CLASSES and not args.trace:
         raise SystemExit(
@@ -644,7 +645,7 @@ def cmd_timeline(args: argparse.Namespace) -> None:
         system = setup.build(spec)
     except InvalidSystemSpecError as error:
         raise SystemExit(f"invalid system spec: {error}") from None
-    if not hasattr(system, "simulate_cache"):
+    if not isinstance(system, ScratchPipeSystem):
         raise SystemExit(
             f"timeline needs a pipelined dynamic-cache system; "
             f"{spec.system!r} does not stream the metadata pipeline"

@@ -30,7 +30,6 @@ from repro.core.scratchpad import (
     required_slots,
     worst_case_storage_bytes,
 )
-from repro.core.strawman import StrawmanCache
 from repro.core.timeline import (
     CycleOccupancy,
     PipelineTimeline,
@@ -64,7 +63,6 @@ __all__ = [
     "make_scratchpads",
     "required_slots",
     "worst_case_storage_bytes",
-    "StrawmanCache",
     "CycleOccupancy",
     "PipelineTimeline",
     "render_ascii",

@@ -482,6 +482,9 @@ class ScratchPipePipeline:
             _TableStaging(PLAN_TO_INSERT - PLAN_TO_COLLECT + 1)
             for _ in range(self.config.num_tables)
         ] if self._functional else []
+        # The monitor's cycle clock, kept across streams: a later stream
+        # carries on the Plan state (and monitor) an earlier one left.
+        self._next_cycle = 0
 
     # ------------------------------------------------------------------
     # Stage implementations
@@ -655,6 +658,11 @@ class ScratchPipePipeline:
         memory — the pipeline itself only ever holds its six in-flight
         batches.  Batches retire in trace order.
 
+        A later stream of the same pipeline starts from the scratchpads
+        as this one left them, and its monitor cycles carry on from this
+        stream's last one (closed early or not), so one monitor can watch
+        every pass.
+
         Args:
             num_batches: Prefix length (default: whole trace).
             losses: Optional caller-owned list that receives each
@@ -731,7 +739,9 @@ class ScratchPipePipeline:
 
             in_flight: Dict[int, _InFlight] = {}
             last_cycle = num_batches - 1 + len(STAGES) - 1
+            start = self._next_cycle
             for cycle in range(last_cycle + 1):
+                self._next_cycle = start + cycle + 1
                 train_idx = cycle - 5
                 retired: Optional[BatchCacheStats] = None
                 training: Optional[Future] = None
@@ -764,7 +774,9 @@ class ScratchPipePipeline:
                         self._do_collect(in_flight[collect_idx])
                     plan_idx = cycle - 1
                     if 0 <= plan_idx < num_batches:
-                        self._do_plan(in_flight[plan_idx], cycle, shards, pool)
+                        self._do_plan(
+                            in_flight[plan_idx], start + cycle, shards, pool
+                        )
                 finally:
                     if training is not None:
                         keep(training.result())
@@ -773,7 +785,7 @@ class ScratchPipePipeline:
                 oldest = min(in_flight) if in_flight else num_batches
                 self._evict_batches_before(oldest)
                 if self.monitor is not None:
-                    self.monitor.on_cycle_end(cycle)
+                    self.monitor.on_cycle_end(start + cycle)
                 if retired is not None:
                     yield retired
 

@@ -34,6 +34,7 @@ from repro.core.pipeline import PRICED_STAGE_OFFSETS
 from repro.serve.arrivals import ArrivalSpec, ServeSpec, arrival_times
 from repro.serve.report import PERCENTILES, ServeReport, exact_percentiles
 from repro.systems.base import InsufficientSteadyStateError
+from repro.systems.scratchpipe_system import ScratchPipeSystem
 
 
 class AdmissionRejectedError(RuntimeError):
@@ -61,7 +62,7 @@ def _service_times(system, trace, num_batches: int) -> np.ndarray:
     Stage prices are the ones the steady-state model uses, plus the
     hardware's per-stage sync overhead.
     """
-    if not hasattr(system, "stream_cache_stats"):
+    if not isinstance(system, ScratchPipeSystem):
         raise TypeError(
             f"system {getattr(system, 'name', system)!r} does not stream "
             "cache statistics; live replay drives the ScratchPipe pipeline"

@@ -20,7 +20,6 @@ from repro.systems.multigpu_scratchpipe import (
     tco_comparison,
 )
 from repro.systems.scratchpipe_system import (
-    AggregateCacheStats,
     ScratchPipeSystem,
     ScratchPipeTrainer,
     ScratchPipeTrainingRun,
@@ -38,7 +37,7 @@ from repro.systems.static_cache import (
     StaticCacheTrainer,
     split_batch,
 )
-from repro.systems.strawman_system import StrawmanSystem
+from repro.systems.strawman_system import AggregateCacheStats, StrawmanSystem
 
 __all__ = [
     "CPU_EMB_BACKWARD",

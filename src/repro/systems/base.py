@@ -2,7 +2,9 @@
 
 The paper evaluates four designs (Section VI): the hybrid CPU-GPU baseline,
 a CPU-GPU with a static GPU embedding cache, the straw-man dynamic cache
-without pipelining, and the pipelined ScratchPipe.  Every design is a
+without pipelining (ScratchPipe's caches and metadata stream with both
+windows at 0, timed sequentially), and the pipelined ScratchPipe, which
+subclasses it.  Every design is a
 :class:`TrainingSystem` that turns a trace into per-iteration
 :class:`IterationBreakdown` objects (stage latencies + device attribution)
 and a :class:`SystemRunResult` (wall-clock and energy per iteration).

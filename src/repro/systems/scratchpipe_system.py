@@ -1,13 +1,14 @@
 """The pipelined ScratchPipe system: timing model + functional trainer.
 
-Timing: every batch's five stage latencies are priced exactly like the
-straw-man's, but the stages of *different* batches overlap (Figure 10), so
-the steady-state iteration time is the per-cycle maximum across the stages
-currently occupied — plus a per-cycle synchronisation overhead — instead of
-the per-batch sum.  That cycle rule lives in :mod:`repro.core.timeline`;
-:meth:`ScratchPipeSystem.stream_breakdowns` is the one stream of priced
-stages that ``run_trace``, the live replay (:mod:`repro.serve`), the CLI
-``timeline`` command and the examples read.
+Timing: :class:`ScratchPipeSystem` is a
+:class:`~repro.systems.strawman_system.StrawmanSystem` (the same per-table
+caches, metadata stream and stage prices) whose stages of *different*
+batches overlap (Figure 10), so the steady-state iteration time is the
+per-cycle maximum across the stages currently occupied — plus a per-cycle
+synchronisation overhead — instead of the per-batch sum.  That cycle rule
+lives in :mod:`repro.core.timeline`; ``stream_breakdowns`` is the one
+stream of priced stages that ``run_trace``, the live replay
+(:mod:`repro.serve`), the CLI ``timeline`` command and the examples read.
 
 Functional: :class:`ScratchPipeTrainer` implements the [Train] stage
 callback of :class:`repro.core.pipeline.ScratchPipePipeline`, performing the
@@ -18,24 +19,15 @@ array — the paper's "training at GPU memory speed".
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import PlanMismatchError, SystemConfigError, SystemInputError
+from repro.errors import PlanMismatchError, SystemInputError
 from repro.api.registry import register_system
 from repro.api.specs import InvalidSystemSpecError, SystemSpec
-from repro.core.pipeline import (
-    BatchCacheStats,
-    HazardMonitor,
-    ScratchPipePipeline,
-)
-from repro.core.scratchpad import (
-    GpuScratchpad,
-    TablePlan,
-    hazard_floor_slots,
-    make_scratchpads,
-)
+from repro.core.pipeline import HazardMonitor, ScratchPipePipeline
+from repro.core.scratchpad import GpuScratchpad, TablePlan, make_scratchpads
 from repro.core.timeline import PipelineTimeline
 from repro.data.trace import MiniBatch
 from repro.model.adagrad import AdagradOptimizer
@@ -43,70 +35,8 @@ from repro.model.config import ModelConfig
 from repro.model.dlrm import DenseNetwork
 from repro.model.embedding import coalesce_gradients, duplicate_gradients
 from repro.model.optimizer import SGD
-from repro.systems.base import IterationBreakdown, StageTime, TrainingSystem
-from repro.systems.stages import cache_stage_times
-
-
-@dataclass
-class AggregateCacheStats:
-    """Running totals of a streamed metadata run.
-
-    Attributes mirror the per-batch :class:`BatchCacheStats` counters,
-    summed over every retired batch past the warm-up prefix, plus
-    per-table rollups — the observable the heterogeneous-cache studies
-    read (how does table 0's 4 % cache fare against table 3's 0.5 %?).
-    """
-
-    batches: int = 0
-    total_lookups: int = 0
-    unique_ids: int = 0
-    hits: int = 0
-    misses: int = 0
-    writebacks: int = 0
-    per_table_hits: Tuple[int, ...] = ()
-    per_table_unique: Tuple[int, ...] = ()
-    per_table_misses: Tuple[int, ...] = ()
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over unique planned IDs (the Plan-stage hit rate)."""
-        if self.unique_ids == 0:
-            return 0.0
-        return self.hits / self.unique_ids
-
-    def per_table_hit_rates(self) -> Tuple[float, ...]:
-        """Plan-stage hit rate of each table's cache manager."""
-        return tuple(
-            hits / unique if unique else 0.0
-            for hits, unique in zip(self.per_table_hits, self.per_table_unique)
-        )
-
-    def add(self, stats: BatchCacheStats) -> None:
-        """Fold one retired batch's counters into the running totals."""
-        self.batches += 1
-        self.total_lookups += stats.total_lookups
-        self.unique_ids += stats.unique_ids
-        self.hits += stats.hits
-        self.misses += stats.misses
-        self.writebacks += stats.writebacks
-        if stats.per_table_hits:
-            if self.per_table_hits:
-                self.per_table_hits = tuple(
-                    a + b for a, b in zip(self.per_table_hits,
-                                          stats.per_table_hits)
-                )
-                self.per_table_unique = tuple(
-                    a + b for a, b in zip(self.per_table_unique,
-                                          stats.per_table_unique)
-                )
-                self.per_table_misses = tuple(
-                    a + b for a, b in zip(self.per_table_misses,
-                                          stats.per_table_misses)
-                )
-            else:
-                self.per_table_hits = tuple(stats.per_table_hits)
-                self.per_table_unique = tuple(stats.per_table_unique)
-                self.per_table_misses = tuple(stats.per_table_misses)
+from repro.systems.base import IterationBreakdown
+from repro.systems.strawman_system import StrawmanSystem
 
 
 @register_system(
@@ -115,161 +45,22 @@ class AggregateCacheStats:
     description="Pipelined ScratchPipe: dynamic per-table GPU cache, "
                 "6-stage pipeline (the paper's design)",
 )
-class ScratchPipeSystem(TrainingSystem):
+class ScratchPipeSystem(StrawmanSystem):
     """Timing model of the pipelined ScratchPipe design point.
 
-    Built from a :class:`~repro.api.specs.SystemSpec`, normally through
-    ``repro.api.build_system`` (which also enforces the hazard-window
-    floor); uniform caches come from
-    :func:`~repro.api.specs.uniform_system_spec`.  Each table's
-    Hit-Map/Hold-mask/policy triple is sized independently from the
-    resolved :class:`~repro.api.specs.CacheSpec`, and per-table
-    statistics roll up through :class:`AggregateCacheStats`.
+    The straw-man's per-table caches, metadata stream and stage pricing,
+    plus what Section IV-C adds: the spec's hold and lookahead windows
+    (and so a hazard floor of ``past_window + 1`` worst-case batches),
+    the pipelined cycle of :mod:`repro.core.timeline` and both devices
+    busy every cycle.
     """
 
     name = "scratchpipe"
 
-    def __init__(
-        self, config: ModelConfig, hardware, *, spec: SystemSpec
-    ) -> None:
-        super().__init__(config, hardware)
-        if spec.system != self.name:
-            raise InvalidSystemSpecError(
-                f"spec names system {spec.system!r} but is being built as "
-                f"{self.name!r}"
-            )
-        if spec.cache is None:
-            raise InvalidSystemSpecError(
-                f"{self.name} requires a cache spec"
-            )
-        if config.num_tables % spec.num_gpus != 0:
-            raise SystemConfigError(
-                f"num_gpus ({spec.num_gpus}) must divide num_tables "
-                f"({config.num_tables}) for table-wise partitioning"
-            )
-        self.spec = spec
-        resolved = spec.cache.resolve(config.num_tables, config.rows_per_table)
-        #: Per-table scratchpad capacities/policies (uniform specs repeat
-        #: one value; the heterogeneous path sizes each independently).
-        self.table_slots: Tuple[int, ...] = tuple(r.slots for r in resolved)
-        self.table_policies: Tuple[str, ...] = tuple(r.policy for r in resolved)
-        self.future_window = spec.pipeline.future_window
-        self.executor = spec.pipeline.executor
-        self._scratchpads: Optional[List[GpuScratchpad]] = None
-
     @classmethod
-    def from_spec(cls, spec, config, hardware):
-        return cls(config, hardware, spec=spec)
-
-    @classmethod
-    def min_cache_slots(cls, spec, config):
-        """Hold-mask hazard floor: ``past_window + 1`` worst-case batches.
-
-        Any table sized below this can exhaust hazard-free victims
-        mid-run (``CachePressureError``); ``build_system`` rejects such
-        specs at construction instead (see
-        :func:`repro.core.scratchpad.hazard_floor_slots`).
-        """
-        return hazard_floor_slots(
-            config, past_window=spec.scratchpad.past_window
-        )
-
-    def _reusable_scratchpads(self) -> List[GpuScratchpad]:
-        """Metadata-only scratchpads, built once per system and reset per run.
-
-        Each scratchpad owns a dense ``rows_per_table``-sized Hit-Map index
-        (~320 MB across tables at paper scale); sweep runners evaluate many
-        grid points against one system instance, so the index is allocated
-        once and wiped in place between runs.
-        """
-        if self._scratchpads is None:
-            self._scratchpads = make_scratchpads(
-                self.config,
-                self.table_slots,
-                policy_name=self.table_policies,
-                with_storage=self.spec.scratchpad.with_storage,
-                past_window=self.spec.scratchpad.past_window,
-            )
-        else:
-            for scratchpad in self._scratchpads:
-                scratchpad.reset()
-        return self._scratchpads
-
-    def simulate_cache(
-        self,
-        dataset_batches: object,
-        num_batches: Optional[int] = None,
-        monitor: Optional[HazardMonitor] = None,
-    ) -> List[BatchCacheStats]:
-        """Metadata-only pipeline run returning per-batch cache statistics.
-
-        Args:
-            dataset_batches: Random-access batch source.
-            num_batches: Prefix length (default: whole trace).
-            monitor: Optional :class:`HazardMonitor` to attach, verifying
-                hazard freedom alongside the statistics run.
-        """
-        return list(self.stream_cache_stats(dataset_batches, num_batches, monitor))
-
-    def stream_cache_stats(
-        self,
-        dataset_batches: object,
-        num_batches: Optional[int] = None,
-        monitor: Optional[HazardMonitor] = None,
-    ):
-        """Streaming twin of :meth:`simulate_cache`.
-
-        Yields each batch's :class:`BatchCacheStats` as it retires instead
-        of accumulating the list, so arbitrarily long scenario traces flow
-        through the system at constant memory (the pipeline holds only its
-        six in-flight batches and the source generates chunk-wise).
-        """
-        pipeline = ScratchPipePipeline(
-            config=self.config,
-            scratchpads=self._reusable_scratchpads(),
-            dataset_batches=dataset_batches,
-            future_window=self.future_window,
-            monitor=monitor,
-            executor=self.executor,
-        )
-        return pipeline.stream(num_batches)
-
-    def aggregate_cache_stats(
-        self,
-        dataset_batches: object,
-        num_batches: Optional[int] = None,
-        warmup: int = 0,
-    ) -> "AggregateCacheStats":
-        """Whole-trace cache totals, computed streamingly.
-
-        The reduction the locality-sensitivity studies want (hit rate under
-        drift/churn/burst) without materialising per-batch statistics —
-        memory stays flat in the trace length.
-
-        Mirrors the ``SystemRunResult`` warm-up convention: a trace no
-        longer than ``warmup`` aggregates over every batch instead of
-        silently reducing nothing.
-        """
-        steady = AggregateCacheStats()
-        full = AggregateCacheStats()
-        for stats in self.stream_cache_stats(dataset_batches, num_batches):
-            for totals in ((full, steady) if stats.batch_index >= warmup
-                           else (full,)):
-                totals.add(stats)
-        return steady if steady.batches else full
-
-    def stage_times(self, stats: BatchCacheStats) -> Dict[str, StageTime]:
-        """One retired batch's five priced stages, keyed by stage name."""
-        return cache_stage_times(self.cost, stats, self.future_window)
-
-    def stream_breakdowns(
-        self, dataset_batches: object, num_batches: Optional[int] = None
-    ) -> Iterator[IterationBreakdown]:
-        """Each retired batch's priced stages, streamed in trace order."""
-        for stats in self.stream_cache_stats(dataset_batches, num_batches):
-            yield IterationBreakdown(
-                stages=tuple(self.stage_times(stats).values())
-            )
+    def windows(cls, spec: SystemSpec) -> Tuple[int, int]:
+        """The spec's windows (3 and 2 in the paper)."""
+        return spec.scratchpad.past_window, spec.pipeline.future_window
 
     def iteration_times(
         self, breakdowns: Sequence[IterationBreakdown]

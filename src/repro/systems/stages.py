@@ -1,5 +1,10 @@
-"""Pricing of the dynamic-cache pipeline stages (shared by straw-man and
-ScratchPipe).
+"""Pricing of the dynamic-cache pipeline stages.
+
+The straw-man (:class:`~repro.systems.strawman_system.StrawmanSystem`)
+prices every batch with these, and ScratchPipe inherits them from it.
+Their prices differ only by the future window Plan probes (0 for the
+straw-man); what differs more is how the priced stages add up to an
+iteration (a sum, or the pipelined cycle).
 
 Given one batch's :class:`~repro.core.pipeline.BatchCacheStats`, these
 helpers return the latency of every stage of Figure 8 / Figure 10:

@@ -137,6 +137,16 @@ class TestNewCommands:
         with pytest.raises(SystemExit):
             main(["timeline", "--locality", "nope"])
 
+    def test_timeline_rejects_the_strawman(self):
+        # The straw-man streams the pipeline too, but has no pipelined
+        # schedule to draw.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--batches", "8", "--system", "strawman", "timeline"])
+        assert str(excinfo.value) == (
+            "timeline needs a pipelined dynamic-cache system; 'strawman' "
+            "does not stream the metadata pipeline"
+        )
+
     def test_timeline_prices_multi_gpu_scratchpipe_by_its_rule(self, capsys):
         def train_utilisation(system, num_gpus):
             spec = (f'{{"system": "{system}", "num_gpus": {num_gpus}, '

@@ -199,8 +199,8 @@ class TestSingleLoop:
             )
             passes, violations = [], []
             for _ in range(2):
-                # A monitor's cycles must not decrease, so each pass,
-                # whose cycles restart at 0, gets its own.
+                # Each pass gets its own monitor; a shared one is
+                # test_one_monitor_watches_every_pass's business.
                 pipeline.monitor = HazardMonitor(strict=False)
                 passes.append(list(pipeline.stream()))
                 violations.append(pipeline.monitor.violations)
@@ -208,6 +208,46 @@ class TestSingleLoop:
         assert runs["overlapped"] == runs["serial"]
         passes = runs["serial"][0]
         assert passes[1] != passes[0]  # the second pass starts warm
+
+    def test_one_monitor_watches_every_pass(self, cfg, dataset):
+        # A later stream's monitor cycles carry on from the earlier one's,
+        # so one non-strict monitor sees each pass as a fresh one would.
+        # Past window 1 gives the monitor hazards to count.
+        def passes(shared):
+            pipeline = ScratchPipePipeline(
+                config=cfg,
+                scratchpads=make_scratchpads(cfg, 48, policy_name="random",
+                                             past_window=1),
+                dataset_batches=dataset,
+            )
+            monitor = HazardMonitor(strict=False)
+            stats, counts = [], []
+            for _ in range(2):
+                if not shared:
+                    monitor = HazardMonitor(strict=False)
+                pipeline.monitor = monitor
+                seen = len(monitor.violations)
+                stats.append(list(pipeline.stream(10)))
+                counts.append(len(monitor.violations) - seen)
+            return stats, counts
+
+        fresh = passes(False)
+        assert fresh[1][0] > 0
+        assert passes(True) == fresh
+
+    def test_stream_after_an_early_close_keeps_the_monitor(self, cfg,
+                                                           dataset):
+        pipeline = ScratchPipePipeline(
+            config=cfg,
+            scratchpads=make_scratchpads(cfg, required_slots(cfg)),
+            dataset_batches=dataset,
+            monitor=HazardMonitor(strict=True),
+        )
+        stream = pipeline.stream()
+        [next(stream) for _ in range(3)]
+        stream.close()
+        assert len(list(pipeline.stream(10))) == 10
+        assert pipeline.monitor.violations == []
 
 
 class TestFunctionalBitIdentity:

@@ -1,12 +1,20 @@
-"""Tests for the straw-man sequential dynamic cache (repro.core.strawman)."""
+"""Tests for the straw-man's metadata stream (repro.systems.strawman_system).
+
+The straw-man streams ScratchPipe's pipeline with both windows at 0; these
+tests pin that stream to what a plain sequential loop over the batches
+computes.
+"""
 
 import numpy as np
 import pytest
 
+from repro.api import CacheSpec, ScratchpadSpec, SystemSpec
+from repro.core.pipeline import BatchCacheStats
 from repro.core.scratchpad import make_scratchpads
-from repro.core.strawman import StrawmanCache
 from repro.data.trace import make_dataset
+from repro.hardware.spec import DEFAULT_HARDWARE
 from repro.model.config import tiny_config
+from repro.systems.strawman_system import StrawmanSystem
 
 
 @pytest.fixture
@@ -20,79 +28,64 @@ def dataset(cfg):
     return make_dataset(cfg, "high", seed=9, num_batches=16)
 
 
+def strawman(cfg, slots, **spec):
+    """A straw-man of ``slots`` per table, built without the floor check."""
+    spec = SystemSpec(system="strawman", cache=CacheSpec(slots=slots), **spec)
+    return StrawmanSystem(cfg, DEFAULT_HARDWARE, spec=spec)
+
+
 class TestConstruction:
     def test_scratchpads_use_zero_past_window(self, cfg):
         """The straw-man system pins the hold window at 0, whatever the
         spec's scratchpad section says."""
-        from repro.api import CacheSpec, ScratchpadSpec, SystemSpec
-        from repro.hardware.spec import DEFAULT_HARDWARE
-        from repro.systems.strawman_system import StrawmanSystem
-
-        spec = SystemSpec(system="strawman", cache=CacheSpec(fraction=0.5),
+        system = strawman(cfg, 100,
                           scratchpad=ScratchpadSpec(past_window=5))
-        system = StrawmanSystem(cfg, DEFAULT_HARDWARE, spec=spec)
-        pads = system._make_cache().scratchpads
+        pads = system._reusable_scratchpads()
         assert all(p.past_window == 0 for p in pads)
         assert len(pads) == cfg.num_tables
-
-    def test_table_count_validated(self, cfg):
-        pads = make_scratchpads(cfg, 16, past_window=0)[:1]
-        with pytest.raises(ValueError):
-            StrawmanCache(config=cfg, scratchpads=pads)
 
 
 class TestMetadataRun:
     def test_stats_shape(self, cfg, dataset):
-        cache = StrawmanCache(
-            config=cfg, scratchpads=make_scratchpads(cfg, 64, past_window=0)
-        )
-        stats = cache.run(dataset)
+        stats = strawman(cfg, 64).simulate_cache(dataset)
         assert len(stats) == 16
         assert all(s.hits + s.misses == s.unique_ids for s in stats)
 
     def test_high_locality_hits_accumulate(self, cfg, dataset):
-        cache = StrawmanCache(
-            config=cfg, scratchpads=make_scratchpads(cfg, 64, past_window=0)
-        )
-        stats = cache.run(dataset)
+        stats = strawman(cfg, 64).simulate_cache(dataset)
         assert np.mean([s.hit_rate for s in stats[8:]]) > 0.3
 
     def test_partial_run_validation(self, cfg, dataset):
-        cache = StrawmanCache(
-            config=cfg, scratchpads=make_scratchpads(cfg, 64, past_window=0)
-        )
         with pytest.raises(ValueError):
-            cache.run(dataset, num_batches=0)
+            strawman(cfg, 64).simulate_cache(dataset, num_batches=0)
 
     def test_small_cache_evicts_and_writes_back(self, cfg, dataset):
         # With a cache smaller than the working set, steady state must show
         # evictions (write-backs of dirty victims).
-        cache = StrawmanCache(
-            config=cfg, scratchpads=make_scratchpads(cfg, 14, past_window=0)
-        )
-        stats = cache.run(dataset)
+        stats = strawman(cfg, 14).simulate_cache(dataset)
         assert sum(s.writebacks for s in stats[4:]) > 0
 
 
-class TestFunctionalRun:
-    def test_value_preservation_without_training(self, cfg, dataset):
-        rng = np.random.default_rng(1)
-        cpu_tables = [
-            rng.standard_normal((cfg.rows_per_table, cfg.embedding_dim)).astype(
-                np.float32
-            )
-            for _ in range(cfg.num_tables)
-        ]
-        originals = [t.copy() for t in cpu_tables]
-        cache = StrawmanCache(
-            config=cfg,
-            scratchpads=make_scratchpads(cfg, 14, with_storage=True, past_window=0),
-            cpu_tables=cpu_tables,
-        )
-        cache.run(dataset)
-        for t in range(cfg.num_tables):
-            assert np.array_equal(cpu_tables[t], originals[t])
-        for t, pad in enumerate(cache.scratchpads):
-            keys = pad.hit_map.keys()
-            slots = pad.hit_map.slots_of_keys(keys)
-            assert np.array_equal(pad.storage[slots], originals[t][keys])
+class TestMatchesSequentialLoop:
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_stream_equals_a_per_batch_plan_loop(self, monkeypatch, workers):
+        """Each batch planned once, in order, with no future window: the
+        sequential runtime the straw-man stands for."""
+        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", workers)
+        cfg = tiny_config(rows_per_table=200, batch_size=6,
+                          lookups_per_table=2, num_tables=3)
+        dataset = make_dataset(cfg, "medium", seed=5, num_batches=20)
+        pads = make_scratchpads(cfg, 14, past_window=0)
+        expected = []
+        for index in range(len(dataset)):
+            batch = dataset.batch(index)
+            plans = [
+                pad.plan_batch(batch.unique_table_ids(table), None,
+                               presorted_unique=True)
+                for table, pad in enumerate(pads)
+            ]
+            expected.append(BatchCacheStats.from_plans(
+                batch.index, cfg.lookups_per_batch, plans
+            ))
+        assert sum(s.writebacks for s in expected) > 0
+        assert list(strawman(cfg, 14).stream_cache_stats(dataset)) == expected

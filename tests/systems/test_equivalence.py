@@ -7,8 +7,7 @@ strongest version of that claim: *bit-identical* final parameters after
 training the same trace from the same initialisation through
 
 * the sequential reference (tables in one memory space),
-* the static-cache split-placement trainer,
-* the straw-man sequential dynamic cache, and
+* the static-cache split-placement trainer, and
 * the fully pipelined ScratchPipe with six batches in flight.
 """
 
@@ -16,16 +15,12 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import HazardMonitor
-from repro.core.scratchpad import make_scratchpads, required_slots
-from repro.core.strawman import StrawmanCache
+from repro.core.scratchpad import required_slots
 from repro.data.trace import make_dataset
 from repro.model.config import tiny_config
 from repro.model.dlrm import DLRMModel, DenseNetwork
 from repro.model.optimizer import SGD
-from repro.systems.scratchpipe_system import (
-    ScratchPipeTrainer,
-    ScratchPipeTrainingRun,
-)
+from repro.systems.scratchpipe_system import ScratchPipeTrainingRun
 from repro.systems.static_cache import StaticCacheTrainer
 
 NUM_BATCHES = 18
@@ -160,34 +155,3 @@ class TestStaticCacheEquivalence:
             assert np.array_equal(merged[t], reference.tables[t].weights)
         assert dense_params_equal(dense, reference.dense_network)
         assert np.allclose(losses, ref_losses, rtol=0, atol=0)
-
-
-class TestStrawmanEquivalence:
-    def test_bit_identical_tables(self):
-        cfg = build_cfg()
-        dataset = make_dataset(
-            cfg, "medium", seed=41, num_batches=NUM_BATCHES, with_dense=True
-        )
-        reference, ref_losses = train_reference(cfg, dataset, seed=9)
-        dense, cpu_tables = cloned_dense(cfg, 9)
-        trainer = ScratchPipeTrainer(
-            config=cfg, dense_network=dense, optimizer=SGD(lr=0.01)
-        )
-        cache = StrawmanCache(
-            config=cfg,
-            scratchpads=make_scratchpads(
-                cfg, num_slots=required_slots(cfg, window_batches=2),
-                with_storage=True, past_window=0,
-            ),
-            cpu_tables=cpu_tables,
-            trainer=trainer,
-        )
-        cache.run(dataset)
-        # Merge cached rows over the CPU master.
-        for t, pad in enumerate(cache.scratchpads):
-            keys = pad.hit_map.keys()
-            slots = pad.hit_map.slots_of_keys(keys)
-            cpu_tables[t][keys] = pad.storage[slots]
-        for t in range(cfg.num_tables):
-            assert np.array_equal(cpu_tables[t], reference.tables[t].weights)
-        assert np.allclose(cache.losses, ref_losses, rtol=0, atol=0)
